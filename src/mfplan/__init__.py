@@ -27,7 +27,6 @@ from .hamiltonian import (
     coercivity_constants,
     h_eval,
     legendre_L,
-    phi,
 )
 from .primal import PrimalConfig, project_continuity, solve_primal
 
@@ -35,7 +34,7 @@ __all__ = [
     "SpaceTimeGrid", "DensityField", "MomentumField", "PotentialField",
     "ProblemSpec", "validate_problem", "mass",
     "HamiltonianSpec", "CouplingSpec", "h_eval", "coercivity_constants",
-    "phi", "legendre_L",
+    "legendre_L",
     "PrimalState", "functional_value", "continuity_residual", "prox_cell",
     "PrimalConfig", "project_continuity", "solve_primal",
     "ContinuationSchedule", "assemble_residual", "assemble_jacobian",

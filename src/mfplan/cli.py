@@ -19,7 +19,7 @@ from . import estimates
 from .config import ConfigError, RunConfig, load_config
 from .dual import DualSolveError, solve_dual
 from .grids import validate_problem
-from .hamiltonian import DegenerateHamiltonianError
+from .hamiltonian import DegenerateHamiltonianError, KernelSolveError
 from .primal import solve_primal
 
 EXIT_OK = 0
@@ -148,7 +148,11 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
     u = m_dual = dual_log = None
     log_payload: dict = {}
     if cfg.method in ("primal", "both"):
-        primal_state, primal_log = solve_primal(cfg.spec, cfg.primal)
+        try:
+            primal_state, primal_log = solve_primal(cfg.spec, cfg.primal)
+        except KernelSolveError as exc:
+            print(f"primal solve failed: {exc}", file=sys.stderr)
+            return EXIT_NOT_CONVERGED
         log_payload["primal"] = {
             "iters": primal_log.iters,
             "converged": primal_log.converged,
@@ -163,7 +167,8 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
     if cfg.method in ("dual", "both"):
         try:
             u, m_dual, dual_log = solve_dual(cfg.spec, cfg.dual)
-        except (DualSolveError, DegenerateHamiltonianError, ValueError) as exc:
+        except (DualSolveError, DegenerateHamiltonianError, KernelSolveError,
+                ValueError) as exc:
             print(f"dual solve failed: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
         log_payload["dual"] = {
@@ -207,6 +212,9 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
     except ValueError as exc:
         print(f"error: config key 'sweep': {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except KernelSolveError as exc:
+        print(f"sweep member solve failed: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     lines = ["eps,error"]
     for eps, err in zip(sweep.eps_list, sweep.errors):
         lines.append(f"{_fmt(eps)},{_fmt(err)}")

@@ -44,7 +44,6 @@ class RunConfig:
     checks: tuple[str, ...] = ()
     sweep_eps: tuple[float, ...] = ()
     output_dir: str = "out"
-    seed: int = 0
 
 
 def _take(block: dict, block_name: str, key: str, default=None, required=False):
@@ -217,8 +216,6 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
                           "primal.theta"),
             tol_kkt=_number(_take(primal_block, "primal", "tol_kkt", 1e-6),
                             "primal.tol_kkt", minimum=0.0, strict=True),
-            tol_mass=_number(_take(primal_block, "primal", "tol_mass", 1e-8),
-                             "primal.tol_mass", minimum=0.0, strict=True),
             max_iters=_number(_take(primal_block, "primal", "max_iters", 50000),
                               "primal.max_iters", integer=True, minimum=1),
         )
@@ -282,7 +279,6 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     _reject(sweep_block, "sweep")
 
     output_dir = _take(raw, "<root>", "output_dir", "out")
-    seed = _number(_take(raw, "<root>", "seed", 0), "seed", integer=True)
     _reject(raw, "<root>")
 
     return RunConfig(
@@ -293,7 +289,6 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
         checks=checks,
         sweep_eps=sweep_eps,
         output_dir=str(output_dir),
-        seed=seed,
     )
 
 

@@ -18,15 +18,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .grids import DensityField, MomentumField, ProblemSpec, SpaceTimeGrid
 from .hamiltonian import (
-    QUADRATIC,
     CouplingSpec,
     HamiltonianSpec,
+    invert_hp,
     kinetic_density,
-    legendre_L,
+    safeguarded_newton,
 )
 
 
@@ -97,26 +96,19 @@ def continuity_residual(state: PrimalState, spec: ProblemSpec) -> np.ndarray:
 # proximal map of the integrand at a single cell
 # ---------------------------------------------------------------------------
 
-def _reduced_gradient(m, mbar, wbar, sigma, V, coupling: CouplingSpec, s):
-    """d/dm of the w-eliminated cell objective (quadratic H, H_pp = s)."""
-    eps = coupling.epsilon
-    return (
-        -s * wbar * wbar / (2.0 * (s * m + sigma) ** 2)
-        + eps * np.log(m)
-        + V
-        + coupling.f(m)
-        + (m - mbar) / sigma
-    )
+def _reduced_gradient(m, mbar, wbar, sigma, V, hamiltonian: HamiltonianSpec,
+                      coupling: CouplingSpec):
+    """d/dm of the w-eliminated cell objective, its m-derivative, and H_p(p).
 
-
-def _reduced_hessian(m, wbar, sigma, coupling: CouplingSpec, s):
+    The momentum dual p solves sigma p + m H_p(p) = wbar and the optimal
+    momentum is w = m H_p(p); the kinetic part contributes -H(p) to the
+    gradient and H_p^2/(sigma + m H_pp) to its derivative.
+    """
+    _, val, hp, hpp = invert_hp(hamiltonian, wbar, m, sigma)
     eps = coupling.epsilon
-    return (
-        s * s * wbar * wbar / (s * m + sigma) ** 3
-        + eps / m
-        + coupling.f_prime(m)
-        + 1.0 / sigma
-    )
+    grad = -val + eps * np.log(m) + V + coupling.f(m) + (m - mbar) / sigma
+    curv = hp * hp / (sigma + m * hpp) + eps / m + coupling.f_prime(m) + 1.0 / sigma
+    return grad, curv, hp
 
 
 def prox_block(
@@ -127,106 +119,55 @@ def prox_block(
     hamiltonian: HamiltonianSpec,
     coupling: CouplingSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized prox of the cell integrand for quadratic H.
+    """Vectorized prox of the cell integrand for any radial H.
 
     Minimizes  m L(w/m) + eps m(log m - 1) + V m + F(m)
              + (1/2 sigma)[(m - mbar)^2 + (w - wbar)^2]   over m >= 0, w.
 
-    w is eliminated in closed form (w = wbar * s m/(s m + sigma)); the
-    remaining strictly convex scalar problem in m is solved by safeguarded
-    Newton, in y = log m when the entropy keeps the minimizer interior.
+    Eliminating w leaves a strictly convex scalar problem in m with
+    gradient _reduced_gradient, solved by safeguarded Newton: in y = log m
+    when the entropy keeps the minimizer interior, in m itself otherwise.
+    The KKT residual is at most 1e-11*max(1, |V| + |mbar|/sigma + H(wbar/sigma)).
     """
-    if hamiltonian.family != QUADRATIC:
-        raise ValueError("prox_block is the quadratic-H fast path")
-    s = hamiltonian.scale
-    eps = coupling.epsilon
-    mbar = np.asarray(mbar, dtype=float)
-    wbar = np.asarray(wbar, dtype=float)
-    V = np.broadcast_to(V, mbar.shape)
+    mbar, wbar, V = (np.array(np.broadcast_to(a, np.shape(mbar)), dtype=float)
+                     for a in (mbar, wbar, V))
+    shape = mbar.shape
+    mbar, wbar, V = mbar.ravel(), wbar.ravel(), V.ravel()
+    h_top = invert_hp(hamiltonian, wbar, 0.0, sigma)[1]  # H(wbar/sigma) >= H(p)
+    tol = 1e-11 * np.maximum(1.0, np.abs(V) + np.abs(mbar) / sigma + h_top)
+    # for m >= 1 the entropy and f are >= 0, so the gradient is >= 0 at m_hi
+    m_hi = np.maximum(1.0, mbar + sigma * (h_top - V))
+    vel = np.zeros_like(mbar)
 
-    interior_only = eps > 0.0 or (
+    def in_log(y, idx):
+        m = np.exp(y)
+        g, curv, vel[idx] = _reduced_gradient(
+            m, mbar[idx], wbar[idx], sigma, V[idx], hamiltonian, coupling)
+        return g, m * curv
+
+    if coupling.epsilon > 0.0 or (
         coupling.f_family == "log" and coupling.f_params[0] > 0.0
-    )
-    m = np.empty_like(mbar)
-    if interior_only:
-        m[...] = _newton_interior(mbar, wbar, sigma, V, coupling, s)
+    ):
+        hi = np.log(m_hi)
+        y0 = np.minimum(np.log(np.maximum(mbar, 1e-12)), hi)
+        # exp underflows below -746, where the gradient is -inf
+        m = np.exp(safeguarded_newton(in_log, y0, -746.0, hi, tol))
     else:
-        # eps = 0 and f(0+) finite: the corner m = 0 is feasible
-        g0 = -s * wbar * wbar / (2.0 * sigma * sigma) + V + coupling.f(
-            np.full_like(mbar, 1e-300)
-        ) - mbar / sigma
-        corner = g0 >= 0.0
-        m[corner] = 0.0
-        if np.any(~corner):
-            m[~corner] = _newton_positive(
-                mbar[~corner], wbar[~corner], sigma, V[~corner], coupling, s
-            )
-    w = wbar * s * m / (s * m + sigma)
-    return m, w
+        # eps = 0 and f(0+) finite: the corner m = 0 is optimal where the
+        # gradient is already >= 0 there
+        m = np.zeros_like(mbar)
+        g0 = -h_top + V + coupling.f(np.full_like(mbar, 1e-300)) - mbar / sigma
+        free = np.flatnonzero(g0 < 0.0)
 
+        def in_m(m, idx):
+            cells = free[idx]
+            g, curv, vel[cells] = _reduced_gradient(
+                m, mbar[cells], wbar[cells], sigma, V[cells], hamiltonian, coupling)
+            return g, curv
 
-def _prox_tol(mbar, wbar, sigma, V, s):
-    return 1e-11 * np.maximum(
-        1.0, np.abs(V) + np.abs(mbar) / sigma + s * wbar * wbar / (2 * sigma * sigma)
-    )
-
-
-def _newton_interior(mbar, wbar, sigma, V, coupling, s):
-    """Safeguarded Newton in y = log m (minimizer strictly positive)."""
-    tol = _prox_tol(mbar, wbar, sigma, V, s)
-    y = np.log(np.maximum(mbar, 1e-12))
-    lo = np.full_like(y, -746.0)  # exp underflows below; gradient -> -inf side
-    hi = np.maximum(y, 0.0) + 5.0
-    # ensure gradient positive at hi
-    for _ in range(200):
-        ghi = _reduced_gradient(np.exp(hi), mbar, wbar, sigma, V, coupling, s)
-        bad = ghi <= 0
-        if not np.any(bad):
-            break
-        hi = np.where(bad, hi + 5.0, hi)
-    for _ in range(200):
-        mcur = np.exp(y)
-        g = _reduced_gradient(mcur, mbar, wbar, sigma, V, coupling, s)
-        if np.all(np.abs(g) <= tol):
-            break
-        lo = np.where(g < 0, np.maximum(lo, y), lo)
-        hi = np.where(g > 0, np.minimum(hi, y), hi)
-        gp = mcur * _reduced_hessian(mcur, wbar, sigma, coupling, s)
-        y_new = y - g / gp
-        outside = (y_new <= lo) | (y_new >= hi) | ~np.isfinite(y_new)
-        y = np.where(outside, 0.5 * (lo + hi), y_new)
-    else:
-        bad = np.abs(g) > tol
-        raise RuntimeError(
-            f"cell prox failed to converge at {int(np.sum(bad))} cells; "
-            f"worst gradient {float(np.max(np.abs(g[bad]))):.3e}"
-        )
-    return np.exp(y)
-
-
-def _newton_positive(mbar, wbar, sigma, V, coupling, s):
-    """Safeguarded Newton in m itself (eps = 0, interior root known to exist)."""
-    tol = _prox_tol(mbar, wbar, sigma, V, s)
-    lo = np.zeros_like(mbar)
-    hi = np.maximum(mbar, 1.0)
-    for _ in range(200):
-        ghi = _reduced_gradient(hi, mbar, wbar, sigma, V, coupling, s)
-        bad = ghi <= 0
-        if not np.any(bad):
-            break
-        hi = np.where(bad, 2.0 * hi, hi)
-    m = 0.5 * (lo + hi)
-    for _ in range(300):
-        g = _reduced_gradient(m, mbar, wbar, sigma, V, coupling, s)
-        if np.all(np.abs(g) <= tol):
-            break
-        lo = np.where(g < 0, np.maximum(lo, m), lo)
-        hi = np.where(g > 0, np.minimum(hi, m), hi)
-        gp = _reduced_hessian(m, wbar, sigma, coupling, s)
-        m_new = m - g / gp
-        outside = (m_new <= lo) | (m_new >= hi) | ~np.isfinite(m_new)
-        m = np.where(outside, 0.5 * (lo + hi), m_new)
-    return m
+        m[free] = safeguarded_newton(in_m, 0.5 * m_hi[free], 0.0, m_hi[free],
+                                     tol[free])
+    return m.reshape(shape), (m * vel).reshape(shape)
 
 
 def prox_cell(
@@ -237,62 +178,9 @@ def prox_cell(
     hamiltonian: HamiltonianSpec,
     coupling: CouplingSpec,
 ) -> tuple[float, float]:
-    """Prox of the cell integrand at one cell; see prox_block.
-
-    Quadratic H uses the exact scalar Newton path (KKT residual <= 1e-10);
-    other families fall back to nested bounded 1-D minimization (documented
-    slower path).
-    """
+    """Prox of the cell integrand at one cell; see prox_block."""
     if sigma <= 0.0:
         raise ValueError("prox step sigma must be positive")
-    if hamiltonian.family == QUADRATIC:
-        m, w = prox_block(
-            np.asarray([mbar], dtype=float),
-            np.asarray([wbar], dtype=float),
-            sigma,
-            np.asarray([V], dtype=float),
-            hamiltonian,
-            coupling,
-        )
-        return float(m[0]), float(w[0])
-    return _prox_nested(float(mbar), float(wbar), sigma, float(V), hamiltonian, coupling)
-
-
-def _prox_nested(mbar, wbar, sigma, V, hamiltonian, coupling):
-    eps = coupling.epsilon
-
-    def inner(m):
-        # min over w of m L(w/m) + (w - wbar)^2 / (2 sigma)
-        if m <= 0.0:
-            return 0.0, wbar * wbar / (2.0 * sigma)
-        lo, hi = min(0.0, wbar), max(0.0, wbar)
-        if lo == hi:
-            return wbar, m * legendre_L(hamiltonian, wbar / m)
-        res = minimize_scalar(
-            lambda w: m * legendre_L(hamiltonian, w / m)
-            + (w - wbar) ** 2 / (2.0 * sigma),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return float(res.x), float(res.fun)
-
-    def outer(m):
-        _, kin = inner(m)
-        ent = 0.0 if m == 0.0 else m * (math.log(m) - 1.0)
-        return (
-            kin
-            + eps * ent
-            + V * m
-            + float(coupling.F(m))
-            + (m - mbar) ** 2 / (2.0 * sigma)
-        )
-
-    m_hi = abs(mbar) + abs(wbar) + 10.0 * sigma + 10.0
-    res = minimize_scalar(outer, bounds=(0.0, m_hi), method="bounded",
-                          options={"xatol": 1e-12})
-    m_opt = float(res.x)
-    if eps == 0.0 and outer(0.0) <= res.fun:
-        return 0.0, 0.0
-    w_opt, _ = inner(m_opt)
-    return m_opt, float(w_opt)
+    m, w = prox_block(np.array([mbar], dtype=float), np.array([wbar], dtype=float),
+                      sigma, np.array([V], dtype=float), hamiltonian, coupling)
+    return float(m[0]), float(w[0])

@@ -12,16 +12,18 @@ at p = 0 and only the divergence-form (primal) solver accepts it.
 Couplings are nondecreasing f on (0, inf) from the families zero,
 power f(m) = c*m^a (a > 0) and log f(m) = c*log m, combined with the
 entropy weight eps into f^eps(r) = f(r) + eps*log r, whose inverse phi is
-evaluated by a safeguarded Newton iteration in y = log m.
+evaluated in y = log m.
+
+Every iterative scalar solve of the package (phi for a power coupling, the
+Legendre transform, the momentum dual p of the cell prox and the cell prox
+itself) is one call of safeguarded_newton.
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 QUADRATIC = "quadratic"
 POWER = "power"
@@ -61,26 +63,28 @@ def h_eval(H: HamiltonianSpec, p):
     (varpi = 0, q < 2 evaluated at the origin).
     """
     p = np.asarray(p, dtype=float)
+    if H.family == POWER and H.varpi == 0.0 and H.q < 2.0 and np.any(p == 0.0):
+        raise DegenerateHamiltonianError(
+            "H_pp singular at p=0 for varpi=0, q<2; use the primal solver"
+        )
+    return _h_eval(H, p)
+
+
+def _h_eval(H: HamiltonianSpec, p: np.ndarray):
+    """(H, H_p, H_pp) at p, with H_pp = +inf at a singular origin."""
     if H.family == QUADRATIC:
         s = H.scale
         return 0.5 * s * p * p, s * p, np.broadcast_to(np.asarray(s), p.shape).copy()
     s, q, w2 = H.scale, H.q, H.varpi**2
     r2 = p * p + w2
-    if H.varpi == 0.0:
-        if q < 2.0 and np.any(p == 0.0):
-            raise DegenerateHamiltonianError(
-                "H_pp singular at p=0 for varpi=0, q<2; use the primal solver"
-            )
-        if np.any(r2 == 0.0):  # q > 2: value/derivatives all vanish at 0
-            r2 = np.where(r2 == 0.0, 1.0, r2)
-            val = s * np.where(p == 0.0, 0.0, r2 ** (q / 2))
-            hp = s * q * p * r2 ** (q / 2 - 1)
-            hpp = s * q * r2 ** (q / 2 - 2) * ((q - 1) * p * p + w2)
-            hpp = np.where(p == 0.0, 0.0, hpp)
-            return val, hp, hpp
-    val = s * r2 ** (q / 2)
-    hp = s * q * p * r2 ** (q / 2 - 1)
-    hpp = s * q * r2 ** (q / 2 - 2) * ((q - 1) * p * p + w2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = s * r2 ** (q / 2)
+        hp = s * q * p * r2 ** (q / 2 - 1)
+        hpp = s * q * r2 ** (q / 2 - 2) * ((q - 1) * p * p + w2)
+    if w2 == 0.0:  # s|p|^q: H and H_p vanish at 0, H_pp is 0, 2s or +inf
+        origin = p == 0.0
+        hp = np.where(origin, 0.0, hp)
+        hpp = np.where(origin, 2.0 * s if q == 2.0 else (0.0 if q > 2.0 else np.inf), hpp)
     return val, hp, hpp
 
 
@@ -130,23 +134,103 @@ def coercivity_constants(H: HamiltonianSpec) -> tuple[float, float]:
     return gamma0, gamma1
 
 
-def legendre_L(H: HamiltonianSpec, v: float) -> float:
-    """Fenchel conjugate L(v) = sup_p (p*v - H(p))."""
-    if H.family == QUADRATIC:
-        return v * v / (2.0 * H.scale)
-    v = float(v)
-    if v == 0.0:
-        return -float(h_eval(H, 0.0)[0])
-    # superlinear H: the sup is attained; H_p >= scale*q*p^{q-1} gives a bracket
-    p_max = 1.0 + 2.0 * (abs(v) / H.scale) ** (1.0 / (H.q - 1.0))
-    sign = 1.0 if v > 0 else -1.0
-    res = minimize_scalar(
-        lambda p: float(h_eval(H, sign * p)[0]) - p * abs(v),
-        bounds=(0.0, p_max),
-        method="bounded",
-        options={"xatol": 1e-12},
+class KernelSolveError(RuntimeError):
+    """A scalar kernel (cell prox, Legendre transform, phi) did not converge."""
+
+
+def safeguarded_newton(fun, y, lo, hi, tol, max_iter: int = 100):
+    """Solve g(y) = 0 cellwise for nondecreasing g by Newton with bisection.
+
+    fun(y, idx) returns (g, g') at the cells with flat indices idx.  [lo, hi]
+    must bracket every root; its endpoints are never evaluated.  A cell
+    leaves the iteration as soon as |g| <= tol there, so its value is the
+    last one evaluated; a Newton step that leaves the bracket is replaced by
+    the bracket's midpoint.  Raises KernelSolveError when a cell has not
+    converged after max_iter evaluations.
+    """
+    y = np.array(y, dtype=float)
+    shape = y.shape
+    y = y.ravel()
+    lo, hi, tol = (np.array(np.broadcast_to(a, shape), dtype=float).ravel()
+                   for a in (lo, hi, tol))
+    idx = np.arange(y.size)
+    for _ in range(max_iter):
+        g, gp = fun(y[idx], idx)
+        live = ~(np.abs(g) <= tol[idx])
+        idx, g, gp = idx[live], g[live], gp[live]
+        if idx.size == 0:
+            return y.reshape(shape)
+        yi = y[idx]
+        lo[idx] = np.where(g < 0, yi, lo[idx])
+        hi[idx] = np.where(g > 0, yi, hi[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = yi - g / gp
+        inside = (step > lo[idx]) & (step < hi[idx])
+        y[idx] = np.where(inside, step, 0.5 * (lo[idx] + hi[idx]))
+    raise KernelSolveError(
+        f"safeguarded Newton left {idx.size} cells unconverged after "
+        f"{max_iter} evaluations; worst residual {float(np.max(np.abs(g))):.3e}"
     )
-    return -float(res.fun)
+
+
+def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0):
+    """Solve sigma*p + m*H_p(p) = rhs for p; return (p, H, H_p, H_pp) at p.
+
+    Vectorized over rhs and m (m >= 0, sigma >= 0, sigma + m > 0).  For
+    radial H the left side is increasing and odd in p, so the root lies
+    between 0 and rhs/sigma, and between 0 and varpi + (2|rhs|/(m s q))^{1/(q-1)}
+    because H_p(p) >= s q 2^{min(q-2,0)} |p|^{q-1} for |p| >= varpi.
+    Closed form for quadratic H; safeguarded Newton from that edge otherwise.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    m = np.broadcast_to(np.asarray(m, dtype=float), rhs.shape)
+    if H.family == QUADRATIC:
+        p = rhs / (sigma + H.scale * m)
+        return (p, *_h_eval(H, p))
+    a = np.abs(rhs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = H.varpi + (2.0 * a / (m * H.scale * H.q)) ** (1.0 / (H.q - 1.0))
+        if sigma > 0.0:
+            reach = np.minimum(reach, a / sigma)
+    edge = np.copysign(np.where(a == 0.0, 0.0, reach), rhs)
+    lo, hi = np.minimum(edge, 0.0), np.maximum(edge, 0.0)
+    tol = 1e-13 * np.maximum(a, sigma + m)
+
+    rf, mf = rhs.ravel(), m.ravel()
+
+    def fun(p, idx):
+        _, hp, hpp = _h_eval(H, p)
+        with np.errstate(invalid="ignore"):  # 0 * inf at m = 0, p = 0
+            return sigma * p + mf[idx] * hp - rf[idx], sigma + mf[idx] * hpp
+
+    p = safeguarded_newton(fun, edge, lo, hi, tol)
+    return (p, *_h_eval(H, p))
+
+
+def legendre_L(H: HamiltonianSpec, v):
+    """Fenchel conjugate L(v) = sup_p (p v - H(p)) = p v - H(p) at H_p(p) = v.
+
+    Vectorized; returns a float for scalar v.
+    """
+    v = np.asarray(v, dtype=float)
+    if H.family == QUADRATIC:
+        out = v * v / (2.0 * H.scale)
+    else:
+        p, val, _, _ = invert_hp(H, v)
+        out = p * v - val
+    return float(out) if out.ndim == 0 else out
+
+
+def kinetic_density(H: HamiltonianSpec, m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Perspective kinetic term m*L(w/m); 0 where m=0,w=0; +inf where m=0,w!=0."""
+    m, w = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(w, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if H.family == QUADRATIC:  # without w/m, which overflows at tiny m
+            out = w * w / (2.0 * H.scale * m)
+        else:
+            out = m * legendre_L(H, np.where(m == 0.0, 0.0, w / m))
+    out = np.where((m == 0.0) & (w == 0.0), 0.0, out)
+    return np.where((m == 0.0) & (w != 0.0), np.inf, out)
 
 
 _F_FAMILIES = ("zero", "power", "log")
@@ -239,71 +323,47 @@ class CouplingSpec:
     def phi(self, r, tau: float = 1.0):
         """Inverse of r = tau*f(m) + eps*log m, computed in y = log m.
 
-        Safeguarded Newton from y0 = r/eps with bisection fallback; the
-        residual satisfies |tau f(m) + eps log m - r| <= 1e-12*max(1,|r|).
+        Closed form unless f is a power; then safeguarded Newton from the
+        smaller of the entropic guess r/eps and the guess that ignores the
+        entropy, with the residual |tau f(m) + eps log m - r| <=
+        1e-12*max(1,|r|).
         """
         if self.epsilon <= 0.0:
             raise ValueError("phi requires eps > 0 (f^eps strictly increasing)")
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
         eps = self.epsilon
-        y = r / eps
-        if self.f_family == "zero" or tau == 0.0 or self.f_params[0] == 0.0:
-            m = np.exp(y)
-            return float(m[0]) if scalar else m
-
-        def g_and_gp(y):
-            with np.errstate(over="ignore", invalid="ignore"):
-                m = np.exp(y)
-                g = tau * self.f(m) + eps * y - r
-                gp = tau * self.f_prime(m) * m + eps
-            # exp overflow means y is far above the root: clamp to +inf
-            g = np.where(np.isfinite(g), g, np.inf)
-            return g, gp
-
-        # the entropic guess r/eps overshoots badly for large r; combine it
-        # with the guess obtained by ignoring the entropy instead
-        if self.f_family == "power":
-            c, a = self.f_params
-            with np.errstate(divide="ignore", invalid="ignore"):
-                y_f = np.log(np.maximum(r, 1e-300) / (tau * c)) / a
-            y = np.where(r > 0, np.minimum(y, y_f), y)
-        elif self.f_family == "log":
-            y = r / (tau * self.f_params[0] + eps)
-        y = np.clip(y, -700.0, 700.0)
-        # establish a bracket [lo, hi] around the root
-        lo = np.minimum(y, 0.0)
-        hi = np.maximum(y, 0.0)
-        for _ in range(200):
-            glo = g_and_gp(lo)[0]
-            done = glo <= 0
-            if done.all():
-                break
-            lo = np.where(done, lo, 2.0 * lo - hi - 1.0)
-        for _ in range(200):
-            ghi = g_and_gp(hi)[0]
-            done = ghi >= 0
-            if done.all():
-                break
-            hi = np.where(done, hi, 2.0 * hi - lo + 1.0)
-        tol = 1e-12 * np.maximum(1.0, np.abs(r))
-        for _ in range(100):
-            g, gp = g_and_gp(y)
-            if np.all(np.abs(g) <= tol):
-                break
-            lo = np.where(g < 0, np.maximum(lo, y), lo)
-            hi = np.where(g > 0, np.minimum(hi, y), hi)
-            with np.errstate(invalid="ignore"):
-                y_new = y - g / gp
-            outside = ~np.isfinite(y_new) | (y_new <= lo) | (y_new >= hi)
-            y = np.where(outside, 0.5 * (lo + hi), y_new)
+        if self.f_family != "power" or tau == 0.0 or self.f_params[0] == 0.0:
+            c = tau * self.f_params[0] if self.f_family == "log" else 0.0
+            m = np.exp(r / (eps + c))
         else:
-            g, _ = g_and_gp(y)
-            if np.any(np.abs(g) > tol):
-                raise RuntimeError("phi Newton failed to converge")
-        m = np.exp(y)
-        return float(m[0]) if scalar else m
+            m = np.exp(self._phi_power_log(r, tau))
+        return float(m) if m.ndim == 0 else m
+
+    def _phi_power_log(self, r: np.ndarray, tau: float) -> np.ndarray:
+        """log phi(r) for f = c m^a by safeguarded Newton in y = log m."""
+        eps = self.epsilon
+        tc, a = tau * self.f_params[0], self.f_params[1]
+        # g(y) = tc e^{ay} + eps y - r is increasing; g <= 0 at
+        # min(0, (r - tc)/eps) and at min(y_f, 0), g >= 0 at r/eps and at
+        # max(y_f, 0), where y_f = log(r/tc)/a ignores the entropy
+        lo = np.minimum(0.0, (r - tc) / eps)
+        hi = r / eps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y_f = np.log(np.maximum(r, 1e-300) / tc) / a
+        pos = r > 0
+        lo = np.where(pos, np.maximum(lo, np.minimum(y_f, 0.0)), lo)
+        hi = np.where(pos, np.minimum(hi, np.maximum(y_f, 0.0)), hi)
+        y0 = np.maximum(np.where(pos, np.minimum(hi, y_f), hi), lo)
+        rf = r.ravel()
+
+        def fun(y, idx):
+            with np.errstate(over="ignore", invalid="ignore"):
+                fm = tc * np.exp(a * y)
+                g = fm + eps * y - rf[idx]
+            # exp overflow means y is far above the root
+            return np.where(np.isfinite(g), g, np.inf), a * fm + eps
+
+        return safeguarded_newton(fun, y0, lo, hi, 1e-12 * np.maximum(1.0, np.abs(r)))
 
     def phi_prime(self, m, tau: float = 1.0):
         """d(phi)/dr at r = tau f(m) + eps log m:  m / (tau m f'(m) + eps)."""
@@ -311,80 +371,18 @@ class CouplingSpec:
         return m / (tau * m * self.f_prime(m) + self.epsilon)
 
 
-def phi(C: CouplingSpec, r):
-    return C.phi(r)
-
-
-def hppp_growth_documented(H: HamiltonianSpec) -> bool:
-    """|H_ppp(p)| <= gamma (1+|p|)^{3(q-2)/2} holds for both families.
-
-    Quadratic: H_ppp = 0.  Power with varpi > 0: H_ppp ~ |p|^{q-3} at
-    infinity and is bounded near 0, dominated by the stated envelope.
-    Verified here by dense sampling (documented check, not consumed by
-    any solver).
-    """
-    p = np.concatenate([[0.0], np.logspace(-4, 3, 500)])
-    try:
-        third = np.abs(h_third(H, p))
-    except DegenerateHamiltonianError:
-        return False
-    envelope = (1.0 + p) ** (1.5 * (H.q - 2.0))
-    gamma = 10.0 * max(1.0, H.scale * H.q**3 * (1.0 + H.varpi) ** abs(H.q - 2.0))
-    if H.varpi > 0:
-        gamma *= max(1.0, H.varpi ** (H.q - 3.0), H.varpi ** (1.5 * (H.q - 2.0)))
-    return bool(np.all(third <= gamma * np.maximum(envelope, 1.0) + 1e-9))
-
-
-def l_eval_array(H: HamiltonianSpec, v: np.ndarray) -> np.ndarray:
-    """Vectorized Fenchel conjugate (loops for non-quadratic families)."""
-    v = np.asarray(v, dtype=float)
-    if H.family == QUADRATIC:
-        return v * v / (2.0 * H.scale)
-    out = np.empty_like(v)
-    flat = v.ravel()
-    res = out.ravel()
-    for i, vi in enumerate(flat):
-        res[i] = legendre_L(H, float(vi))
-    return out
-
-
-def kinetic_density(H: HamiltonianSpec, m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Perspective kinetic term m*L(w/m); 0 where m=0,w=0; +inf where m=0,w!=0."""
-    m = np.asarray(m, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if H.family == QUADRATIC:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = w * w / (2.0 * H.scale * m)
-        out = np.where((m == 0.0) & (w == 0.0), 0.0, out)
-        return np.where((m == 0.0) & (w != 0.0), np.inf, out)
-    out = np.empty(np.broadcast(m, w).shape)
-    mb, wb = np.broadcast_arrays(m, w)
-    it = np.nditer(mb, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        mi, wi = mb[idx], wb[idx]
-        if mi == 0.0:
-            out[idx] = 0.0 if wi == 0.0 else np.inf
-        else:
-            out[idx] = mi * legendre_L(H, wi / mi)
-    return out
-
-
-def perspective_value(H: HamiltonianSpec, m: float, w: float) -> float:
-    return float(kinetic_density(H, np.asarray(m), np.asarray(w)))
-
 
 __all__ = [
     "HamiltonianSpec",
     "CouplingSpec",
     "DegenerateHamiltonianError",
+    "KernelSolveError",
     "h_eval",
     "h_third",
     "hpp_envelope",
     "coercivity_constants",
+    "safeguarded_newton",
+    "invert_hp",
     "legendre_L",
-    "l_eval_array",
     "kinetic_density",
-    "phi",
-    "hppp_growth_documented",
 ]

@@ -30,7 +30,6 @@ from .grids import (
     ProblemSpec,
     SpaceTimeGrid,
 )
-from .hamiltonian import QUADRATIC
 
 
 @dataclass(frozen=True)
@@ -38,11 +37,10 @@ class PrimalConfig:
     sigma: float = 1.0
     theta: float = 1.8
     tol_kkt: float = 1e-6
-    tol_mass: float = 1e-8
     max_iters: int = 50000
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.tol_kkt <= 0 or self.tol_mass <= 0:
+        if self.sigma <= 0 or self.tol_kkt <= 0:
             raise ValueError("sigma and tolerances must be positive")
         if not 1.0 <= self.theta < 2.0:
             raise ValueError("over-relaxation theta must lie in [1, 2)")
@@ -175,8 +173,8 @@ def _initial_state(spec: ProblemSpec) -> PrimalState:
 def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     """Minimize the discrete functional under the continuity constraint.
 
-    Returns (PrimalState, PrimalLog).  Handles eps >= 0 and any Hamiltonian
-    family (non-quadratic via the slow nested prox).
+    Returns (PrimalState, PrimalLog).  Handles eps >= 0 and any radial
+    Hamiltonian family.
     """
     cfg = cfg or PrimalConfig()
     ops = _operators(spec.grid)
@@ -188,7 +186,6 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     sU, sV = U.copy(), Vc.copy()
 
     log = PrimalLog(sigma_final=cfg.sigma)
-    quad = spec.hamiltonian.family == QUADRATIC
     best_fp = np.inf
     halved = False
     yU = U
@@ -200,12 +197,9 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
         wbar = sV[nt * nx :].reshape(nt, nx)
         # the uniform dt*dx weight does not move the minimizer, so the
         # iteration minimizes the unweighted cell sum (better-scaled prox)
-        if quad:
-            mY, wY = prox_block(
-                mbar, wbar, sigma, spec.V, spec.hamiltonian, spec.coupling,
-            )
-        else:
-            mY, wY = _prox_slow(mbar, wbar, sigma, spec)
+        mY, wY = prox_block(
+            mbar, wbar, sigma, spec.V, spec.hamiltonian, spec.coupling,
+        )
         yV = np.concatenate([mY.ravel(), wY.ravel()])
 
         zU, zV = ops.graph_project(2.0 * yU - sU, 2.0 * yV - sV, b)
@@ -242,18 +236,3 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     log.feasibility = float(np.max(np.abs(continuity_residual(state, spec))))
     log.sigma_final = sigma
     return state, log
-
-
-def _prox_slow(mbar, wbar, sigma_eff, spec: ProblemSpec):
-    from .functional import prox_cell
-
-    mY = np.empty_like(mbar)
-    wY = np.empty_like(wbar)
-    nt, nx = mbar.shape
-    for k in range(nt):
-        for i in range(nx):
-            mY[k, i], wY[k, i] = prox_cell(
-                mbar[k, i], wbar[k, i], sigma_eff, spec.V[i],
-                spec.hamiltonian, spec.coupling,
-            )
-    return mY, wY

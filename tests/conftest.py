@@ -72,16 +72,32 @@ def make_bump_spec(n: int, eps: float = 0.2, topology: str = "torus") -> Problem
     )
 
 
+def make_power_spec(n: int) -> ProblemSpec:
+    # non-quadratic H = (p^2 + 0.5^2)^{1.25} with congestion f(m) = 0.5 m^2,
+    # carrying the bump pair a quarter-turn around the circle
+    grid = SpaceTimeGrid(1.0, 0.0, 1.0, n, n, "torus")
+    return build_spec(
+        grid,
+        {"family": "bump", "center": 0.25, "width": 0.12, "floor": 0.2},
+        {"family": "bump", "center": 0.5, "width": 0.12, "floor": 0.2},
+        {"family": "zero"},
+        HamiltonianSpec(family="power", q=2.5, varpi=0.5),
+        CouplingSpec(epsilon=0.3, f_family="power", f_params=(0.5, 2.0)),
+    )
+
+
 BENCHMARKS = {
     "gibbs": make_gibbs_spec,
     "congestion": make_congestion_spec,
     "bump": make_bump_spec,
+    "power": make_power_spec,
 }
 
 _PRIMAL_CFG = {
     "gibbs": PrimalConfig(tol_kkt=1e-8),
     "congestion": PrimalConfig(),
     "bump": PrimalConfig(),
+    "power": PrimalConfig(),
 }
 
 

@@ -82,6 +82,25 @@ def test_criterion_2_recovery_consistency(solves, report):
     assert ok
 
 
+def test_criterion_2b_power_hamiltonian_consistency(solves, report):
+    # criterion 2 on a non-quadratic H: the primal's radial prox against the
+    # dual's Newton continuation on H = (p^2 + 0.5^2)^{1.25}
+    errs, bounds = [], []
+    for n in (16, 32):
+        spec = solves.spec("power", n)
+        state, plog = solves.primal("power", n)
+        _, m, dlog = solves.dual("power", n)
+        assert plog.converged and dlog.converged
+        errs.append(_l1_spacetime(m.values, state.m.values, spec.grid))
+        bounds.append(5.0 * (spec.grid.dt + spec.grid.dx))
+    ok = all(e <= b for e, b in zip(errs, bounds)) and errs[1] < errs[0]
+    report("criterion-2b power-hamiltonian-consistency", ok,
+            f"L1(m_dual, m_primal) 16->32 within 5(dt+dx), decreasing "
+            f"[{errs[0]:.4f} (<={bounds[0]:.4f}) -> {errs[1]:.4f} "
+            f"(<={bounds[1]:.4f})]")
+    assert ok
+
+
 def test_criterion_3_eps_sweep(report):
     spec = make_bump_spec(64, eps=0.4)
     t0 = time.perf_counter()

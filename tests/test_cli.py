@@ -12,6 +12,7 @@ from mfplan.cli import (
     run,
 )
 from mfplan.config import ConfigError, load_config, parse_config
+from mfplan.hamiltonian import KernelSolveError
 
 GIBBS_YAML = """\
 grid:
@@ -152,6 +153,56 @@ def test_non_convergence_exit(gibbs_cfg, tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+DEGENERATE_YAML = """\
+grid:
+  t_horizon: 1.0
+  x_min: 0.0
+  x_max: 1.0
+  n_t: 2
+  n_x: 4
+  topology: torus
+problem:
+  hamiltonian: {family: power, q: 1.5, varpi: 0.0, scale: 1.0}
+  coupling: {epsilon: 0.3, f_family: power, f_params: [0.5, 2.0]}
+  m0: {family: bump, center: 0.25, width: 0.12, floor: 0.2}
+  m1: {family: bump, center: 0.5, width: 0.12, floor: 0.2}
+method: primal
+"""
+
+
+def test_degenerate_power_hamiltonian_primal(tmp_path, capsys):
+    # H = |p|^1.5 has H_pp = inf at p = 0; the primal solver is the one
+    # meant for it and must finish, or fail by name, without a traceback
+    p = tmp_path / "degenerate.yaml"
+    p.write_text(DEGENERATE_YAML)
+    rc = main(["solve", "--config", str(p), "--method", "primal",
+               "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert rc == EXIT_OK or (rc == EXIT_NOT_CONVERGED and "primal solve" in err)
+
+
+def _nan_gradient(m, *args):
+    nan = np.full_like(m, np.nan)
+    return nan, nan, nan
+
+
+def _failing_phi(self, r, tau=1.0):
+    raise KernelSolveError("phi did not converge")
+
+
+@pytest.mark.parametrize("method, target, replacement", [
+    ("primal", "mfplan.functional._reduced_gradient", _nan_gradient),
+    ("dual", "mfplan.hamiltonian.CouplingSpec.phi", _failing_phi),
+])
+def test_kernel_failure_exit(gibbs_cfg, tmp_path, capsys, monkeypatch,
+                             method, target, replacement):
+    monkeypatch.setattr(target, replacement)
+    assert run(str(gibbs_cfg), "solve", method=method,
+               out=str(tmp_path / "o")) == EXIT_NOT_CONVERGED
+    assert f"{method} solve failed" in capsys.readouterr().err
+
+
 def test_verify_runs_all_checks(gibbs_cfg, tmp_path, capsys):
     p = tmp_path / "nochecks.yaml"
     p.write_text(GIBBS_YAML.replace(
@@ -199,6 +250,15 @@ def test_parse_config_strictness():
     with pytest.raises(ConfigError) as exc:
         parse_config({"problem": {}})
     assert "grid" in str(exc.value)
+
+
+@pytest.mark.parametrize("extra", [{"seed": 3}, {"primal": {"tol_mass": 1e-8}}])
+def test_keys_without_effect_rejected(extra):
+    raw = {"grid": {"t_horizon": 1.0, "x_min": 0.0, "x_max": 1.0,
+                    "n_t": 4, "n_x": 4},
+           "problem": {"m0": {"family": "uniform"}, "m1": {"family": "uniform"}}}
+    with pytest.raises(ConfigError, match="seed|tol_mass"):
+        parse_config({**raw, **extra})
 
 
 def test_csv_fields(tmp_path):

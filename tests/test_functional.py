@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from mfplan.functional import (
     PrimalState,
@@ -15,7 +16,12 @@ from mfplan.functional import (
     prox_cell,
 )
 from mfplan.grids import DensityField, MomentumField, ProblemSpec, SpaceTimeGrid
-from mfplan.hamiltonian import CouplingSpec, HamiltonianSpec
+from mfplan.hamiltonian import (
+    CouplingSpec,
+    HamiltonianSpec,
+    kinetic_density,
+    legendre_L,
+)
 
 from conftest import make_gibbs_spec
 
@@ -152,6 +158,68 @@ def test_integrand_perspective_convention():
 
 C_ENT = CouplingSpec(epsilon=0.1)
 
+# one quadratic H and the power family s(p^2 + varpi^2)^{q/2} across its
+# regimes: smooth, soft (q < 2), flat at the origin (q > 2, varpi = 0) and
+# singular at the origin (q < 2, varpi = 0); the prox tests run every one
+EVERY_H = [
+    QUAD_H,
+    HamiltonianSpec(family="power", q=2.5, varpi=0.5),
+    HamiltonianSpec(family="power", q=1.5, varpi=0.1),
+    HamiltonianSpec(family="power", q=3.0, varpi=0.0),
+    HamiltonianSpec(family="power", q=1.5, varpi=0.0),
+]
+
+
+def _prox_nested(mbar, wbar, sigma, V, hamiltonian, coupling):
+    """Reference cell prox by nested bounded 1-D minimization over (m, w)."""
+    eps = coupling.epsilon
+
+    def inner(m):
+        # min over w of m L(w/m) + (w - wbar)^2 / (2 sigma)
+        if m <= 0.0:
+            return 0.0, wbar * wbar / (2.0 * sigma)
+        lo, hi = min(0.0, wbar), max(0.0, wbar)
+        if lo == hi:
+            return wbar, m * legendre_L(hamiltonian, wbar / m)
+        res = minimize_scalar(
+            lambda w: m * legendre_L(hamiltonian, w / m)
+            + (w - wbar) ** 2 / (2.0 * sigma),
+            bounds=(lo, hi),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        return float(res.x), float(res.fun)
+
+    def outer(m):
+        _, kin = inner(m)
+        ent = 0.0 if m == 0.0 else m * (math.log(m) - 1.0)
+        return (
+            kin
+            + eps * ent
+            + V * m
+            + float(coupling.F(m))
+            + (m - mbar) ** 2 / (2.0 * sigma)
+        )
+
+    m_hi = abs(mbar) + abs(wbar) + 10.0 * sigma + 10.0
+    res = minimize_scalar(outer, bounds=(0.0, m_hi), method="bounded",
+                          options={"xatol": 1e-12})
+    m_opt = float(res.x)
+    if eps == 0.0 and outer(0.0) <= res.fun:
+        return 0.0, 0.0
+    w_opt, _ = inner(m_opt)
+    return m_opt, float(w_opt)
+
+
+def _h_and_hp(H, p):
+    # H and H_p by their formulas, finite at p = 0 for every q > 1
+    if H.family == "quadratic":
+        return 0.5 * H.scale * p * p, H.scale * p
+    r2 = p * p + H.varpi**2
+    if r2 == 0.0:
+        return 0.0, 0.0
+    return H.scale * r2 ** (H.q / 2), H.scale * H.q * p * r2 ** (H.q / 2 - 1)
+
 
 def test_prox_small_sigma_near_identity():
     m, w = prox_cell(1.0, 0.0, 1e-8, 0.0, QUAD_H, C_ENT)
@@ -169,20 +237,22 @@ def test_prox_zero_momentum_stays_zero():
 def test_prox_against_grid_oracle():
     # brute-force 2-D minimization of the cell objective
     mbar, wbar, sigma, V = 2.0, 1.0, 0.5, 0.3
-    m, w = prox_cell(mbar, wbar, sigma, V, QUAD_H, C_ENT)
 
-    def obj(mm, ww):
-        kin = ww * ww / (2.0 * mm) if mm > 0 else (0.0 if ww == 0 else np.inf)
-        return (kin + C_ENT.epsilon * mm * (math.log(mm) - 1.0) + V * mm
+    def obj(H, mm, ww):
+        mm, ww = np.broadcast_arrays(mm, ww)
+        return (kinetic_density(H, mm, ww)
+                + C_ENT.epsilon * mm * (np.log(mm) - 1.0) + V * mm
                 + (mm - mbar) ** 2 / (2 * sigma) + (ww - wbar) ** 2 / (2 * sigma))
 
-    ms = np.linspace(max(m - 0.05, 1e-6), m + 0.05, 401)
-    ws = np.linspace(w - 0.05, w + 0.05, 401)
-    vals = np.array([[obj(mm, ww) for ww in ws] for mm in ms])
-    k = np.unravel_index(np.argmin(vals), vals.shape)
-    assert abs(ms[k[0]] - m) <= 1e-3
-    assert abs(ws[k[1]] - w) <= 1e-3
-    assert obj(m, w) <= vals[k] + 1e-12
+    for H in EVERY_H:
+        m, w = prox_cell(mbar, wbar, sigma, V, H, C_ENT)
+        ms = np.linspace(max(m - 0.05, 1e-6), m + 0.05, 401)
+        ws = np.linspace(w - 0.05, w + 0.05, 401)
+        vals = obj(H, ms[:, None], ws[None, :])
+        k = np.unravel_index(np.argmin(vals), vals.shape)
+        assert abs(ms[k[0]] - m) <= 1e-3, H
+        assert abs(ws[k[1]] - w) <= 1e-3, H
+        assert float(obj(H, m, w)) <= vals[k] + 1e-12, H
 
 
 @pytest.mark.parametrize("coupling", [
@@ -192,23 +262,25 @@ def test_prox_against_grid_oracle():
     CouplingSpec(epsilon=0.2, f_family="log", f_params=(0.3,)),
 ])
 def test_prox_kkt_residual(coupling, rng):
-    # stationarity of the (w-eliminated) objective at the returned point
-    for _ in range(20):
-        mbar = rng.uniform(-1.0, 4.0)
-        wbar = rng.uniform(-3.0, 3.0)
-        sigma = rng.uniform(0.1, 2.0)
-        V = rng.uniform(-1.0, 1.0)
-        m, w = prox_cell(mbar, wbar, sigma, V, QUAD_H, coupling)
-        assert m >= 0.0
-        assert w == pytest.approx(wbar * m / (m + sigma), abs=1e-10)
-        if m > 0.0:
-            grad = (-wbar * wbar / (2.0 * (m + sigma) ** 2)
-                    + coupling.epsilon * (math.log(m) if m > 0 else -np.inf)
-                    + V + float(coupling.f(m)) + (m - mbar) / sigma)
-            if coupling.epsilon == 0.0 and m < 1e-250:
-                continue
-            assert abs(grad) <= 1e-9 * max(1.0, abs(V) + abs(mbar) / sigma
-                                           + wbar**2 / sigma**2)
+    # stationarity of the (w-eliminated) objective at the returned point:
+    # with p = (wbar - w)/sigma, w = m H_p(p) and the m-gradient is -H(p) + ...
+    for H in EVERY_H:
+        for _ in range(20):
+            mbar = rng.uniform(-1.0, 4.0)
+            wbar = rng.uniform(-3.0, 3.0)
+            sigma = rng.uniform(0.1, 2.0)
+            V = rng.uniform(-1.0, 1.0)
+            m, w = prox_cell(mbar, wbar, sigma, V, H, coupling)
+            assert m >= 0.0
+            h, hp = _h_and_hp(H, (wbar - w) / sigma)
+            assert w == pytest.approx(m * hp, abs=1e-10), H
+            if m > 0.0:
+                grad = (-h + coupling.epsilon * math.log(m)
+                        + V + float(coupling.f(m)) + (m - mbar) / sigma)
+                if coupling.epsilon == 0.0 and m < 1e-250:
+                    continue
+                assert abs(grad) <= 1e-9 * max(1.0, abs(V) + abs(mbar) / sigma
+                                               + wbar**2 / sigma**2), H
 
 
 def test_prox_block_matches_scalar(rng):
@@ -237,14 +309,14 @@ def test_prox_firm_nonexpansive(rng):
 
 
 def test_prox_nested_agrees_with_fast_path():
-    # the slow nested path on a quadratic-equivalent power Hamiltonian:
-    # s*(p^2)^{2/2} at s = 1/2 equals the quadratic family's p^2/2
+    # s*(p^2)^{2/2} at s = 1/2 is the quadratic family's p^2/2
     h_pow = HamiltonianSpec(family="power", q=2.0, varpi=0.0, scale=0.5)
-    for mbar, wbar in ((1.5, 0.8), (0.2, -1.1), (3.0, 0.0)):
-        m_f, w_f = prox_cell(mbar, wbar, 0.5, 0.2, QUAD_H, C_ENT)
-        m_s, w_s = prox_cell(mbar, wbar, 0.5, 0.2, h_pow, C_ENT)
-        assert m_s == pytest.approx(m_f, abs=5e-6)
-        assert w_s == pytest.approx(w_f, abs=5e-6)
+    for H in EVERY_H + [h_pow]:
+        for mbar, wbar in ((1.5, 0.8), (0.2, -1.1), (3.0, 0.0)):
+            m_s, w_s = _prox_nested(mbar, wbar, 0.5, 0.2, H, C_ENT)
+            m_f, w_f = prox_cell(mbar, wbar, 0.5, 0.2, H, C_ENT)
+            assert m_f == pytest.approx(m_s, abs=5e-6), H
+            assert w_f == pytest.approx(w_s, abs=5e-6), H
 
 
 def test_functional_midpoint_convexity(rng):

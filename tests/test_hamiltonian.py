@@ -12,9 +12,11 @@ from mfplan.hamiltonian import (
     coercivity_constants,
     h_eval,
     h_third,
+    KernelSolveError,
     hpp_envelope,
-    hppp_growth_documented,
+    kinetic_density,
     legendre_L,
+    safeguarded_newton,
 )
 
 QUAD = HamiltonianSpec()
@@ -141,11 +143,59 @@ def test_youngs_inequality(H, rng):
         assert abs(float(hv) + legendre_L(H, float(hp)) - p * float(hp)) <= 1e-8
 
 
-def test_hppp_growth_documented():
-    assert hppp_growth_documented(QUAD)
-    assert hppp_growth_documented(SOFT)
-    assert hppp_growth_documented(HamiltonianSpec(family="power", q=3.0,
-                                                  varpi=0.5))
+def test_legendre_degenerate_origin():
+    # varpi = 0, q < 2: H_pp is infinite at p = 0, but L needs only H, H_p
+    H = HamiltonianSpec(family="power", q=1.5, varpi=0.0)
+    assert legendre_L(H, 0.0) == 0.0
+    # H = |p|^1.5 has L(v) = (v/1.5)^3 * 0.5 at v > 0
+    v = np.array([0.0, 1e-6, 0.3, 2.0])
+    assert np.allclose(legendre_L(H, v), 0.5 * (v / 1.5) ** 3, rtol=1e-12, atol=0)
+    assert np.array_equal(kinetic_density(H, np.zeros(2), np.array([0.0, 1.0])),
+                          [0.0, np.inf])
+
+
+def test_legendre_vectorized_matches_scalar(rng):
+    v = rng.uniform(-4.0, 4.0, size=(3, 5))
+    for H in (CUBIC, SOFT):
+        got = legendre_L(H, v)
+        assert got.shape == v.shape
+        for k, vi in np.ndenumerate(v):
+            assert got[k] == pytest.approx(legendre_L(H, float(vi)), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the safeguarded Newton helper
+# ---------------------------------------------------------------------------
+
+def test_newton_freezes_converged_cells():
+    # g(y) = y^3 + y - c; the first cell starts exactly at its root
+    c = np.array([2.0, 10.0, -3.0])
+    seen = []
+
+    def fun(y, idx):
+        seen.append(idx.copy())
+        return y**3 + y - c[idx], 3.0 * y * y + 1.0
+
+    start = np.array([1.0, 0.0, 0.0])
+    y = safeguarded_newton(fun, start, -10.0, 10.0, 1e-13)
+    assert y[0] == 1.0  # bit-identical, never moved
+    assert sum(0 in idx for idx in seen) == 1
+    assert len(seen) > 3
+    assert np.all(np.abs(y**3 + y - c) <= 1e-13)
+
+
+def test_newton_bisects_bad_steps():
+    # Newton on arctan overshoots from far out; the safeguard still converges
+    y = safeguarded_newton(lambda y, idx: (np.arctan(y), 1.0 / (1.0 + y * y)),
+                           np.array([5.0, -20.0]), -30.0, 30.0, 1e-14)
+    assert np.all(np.abs(y) <= 1e-14)
+
+
+def test_newton_raises_typed_error():
+    with pytest.raises(KernelSolveError, match="2 cells unconverged"):
+        safeguarded_newton(lambda y, idx: (y - 1.0, np.ones_like(y) * 1e6),
+                           np.array([0.0, 2.0]), -5.0, 5.0, 1e-14, max_iter=3)
+    assert issubclass(KernelSolveError, RuntimeError)
 
 
 # ---------------------------------------------------------------------------
