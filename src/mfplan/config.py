@@ -237,10 +237,6 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
 
     try:
         dual_cfg = ContinuationSchedule(
-            rho_sequence=_seq("rho_sequence",
-                              ContinuationSchedule().rho_sequence),
-            delta_sequence=_seq("delta_sequence",
-                                ContinuationSchedule().delta_sequence),
             tau_sequence=_seq("tau_sequence",
                               ContinuationSchedule().tau_sequence),
             newton_tol=_number(_take(dual_block, "dual", "newton_tol", 1e-10),
@@ -250,7 +246,6 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
             max_newton_iters=_number(
                 _take(dual_block, "dual", "max_newton_iters", 50),
                 "dual.max_newton_iters", integer=True, minimum=1),
-            use_picard=bool(_take(dual_block, "dual", "use_picard", False)),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):

@@ -1,20 +1,29 @@
 """Newton continuation solver for the space-time elliptic potential equation.
 
-The potential u solves the quasilinear problem
+The potential u and the constant kappa solve the quasilinear problem
 
     -[u_tt - 2 H_p u_tx + (H_p^2 + (m f'(m) + eps) H_pp) u_xx]
-        + tau DV . H_p(u_x) + rho u = 0          in the interior,
-    -u_t + H(u_x) + delta u = tau (f(m0) + V) + eps log m0    at t = 0,
-    -u_t + H(u_x) - delta u = tau (f(m1) + V) + eps log m1    at t = T,
+        + tau DV . H_p(u_x) + kappa = 0                       in the interior,
+    -u_t + H(u_x) + kappa = tau (f(m0) + V) + eps log m0       at t = 0,
+    -u_t + H(u_x) - kappa = tau (f(m1) + V) + eps log m1       at t = T,
     D_x u = 0 on the lateral boundary (interval topology),
+    sum u(T) m1 dx = 0                                          (the gauge),
 
 with m recovered pointwise through the inverse coupling:
 m = (tau f + eps log)^{-1}(-u_t + H(u_x) - tau V).
 
+This is the delta -> 0 limit of the penalized problem (rho u in the
+interior, +-delta u at t = 0, T, with rho = delta): delta u_delta tends to
+the constant kappa, and u is fixed up to an additive constant, which the
+gauge pins.  kappa is the discrete compatibility defect of the data and
+shrinks with the mesh; |kappa| is the limit of the a-priori quantity
+delta sup|u_delta|.
+
 The homotopy parameter tau deforms a trivially solvable problem (tau = 0)
-into the target (tau = 1); rho and delta are zeroth-order penalizations
-driven to a 1e-8 floor (not 0: they guard the constant-shift kernel of the
-Jacobian), after which u is normalized so that sum u(T) m1 dx = 0.
+into the target (tau = 1).  The Jacobian in u has the constants as its
+kernel; bordered by the column dR/dkappa and one row it is nonsingular,
+and each Newton step takes one sparse solve of the bordered system.
+Starting from u = 0, every iterate is in the gauge.
 
 Interior derivatives are centered; u_t in the time-boundary rows and the
 lateral Neumann rows use one-sided second-order differences.  The Jacobian
@@ -34,43 +43,21 @@ from .hamiltonian import DegenerateHamiltonianError, h_eval, h_third
 
 
 class DualSolveError(RuntimeError):
-    """Newton continuation failed even after schedule refinement."""
-
-
-def _default_penalty() -> tuple[float, ...]:
-    return tuple(10.0 ** (-k) for k in range(9))  # 1 -> 1e-8
+    """Newton continuation failed even after one midpoint refinement in tau."""
 
 
 @dataclass(frozen=True)
 class ContinuationSchedule:
-    rho_sequence: tuple[float, ...] = field(default_factory=_default_penalty)
-    delta_sequence: tuple[float, ...] = field(default_factory=_default_penalty)
     tau_sequence: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     newton_tol: float = 1e-10
     step_tol: float = 1e-13
     max_newton_iters: int = 50
-    use_picard: bool = False
 
     def __post_init__(self):
-        for name in ("rho_sequence", "delta_sequence", "tau_sequence"):
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
-        rho, delta, tau = self.rho_sequence, self.delta_sequence, self.tau_sequence
-        if not rho or any(np.diff(rho) > 0) or rho[-1] <= 0:
-            raise ValueError("rho_sequence must be positive and nonincreasing")
-        if not delta or any(np.diff(delta) > 0) or delta[-1] <= 0:
-            raise ValueError("delta_sequence must be positive and nonincreasing")
+        tau = tuple(float(x) for x in self.tau_sequence)
+        object.__setattr__(self, "tau_sequence", tau)
         if not tau or any(np.diff(tau) < 0) or tau[0] != 0.0 or tau[-1] != 1.0:
             raise ValueError("tau_sequence must go 0 -> 1 nondecreasing")
-
-    def stages(self) -> list[tuple[float, float, float]]:
-        """(rho, delta, tau) triples: tau ramp first, then joint penalty decay."""
-        rho, delta = self.rho_sequence, self.delta_sequence
-        n = max(len(rho), len(delta))
-        rho = rho + (rho[-1],) * (n - len(rho))
-        delta = delta + (delta[-1],) * (n - len(delta))
-        out = [(rho[0], delta[0], t) for t in self.tau_sequence]
-        out += [(r, d, 1.0) for r, d in zip(rho[1:], delta[1:])]
-        return out
 
 
 @dataclass(frozen=True)
@@ -108,9 +95,31 @@ def _dv_nodes(spec: ProblemSpec) -> np.ndarray:
     return dv
 
 
-def _assemble(u: np.ndarray, spec: ProblemSpec, rho: float, delta: float,
-              tau: float, with_jacobian: bool, picard: bool = False):
-    """Flat residual (node-indexed) and optionally the sparse Jacobian."""
+def _kappa_column(g) -> np.ndarray:
+    """dR/dkappa: +1 on the interior and t = 0 rows, -1 on the t = T rows."""
+    e = np.ones((g.n_t + 1, g.n_xnodes))
+    e[-1] = -1.0
+    if not g.periodic:
+        e[:, [0, -1]] = 0.0  # lateral Neumann rows
+    return e
+
+
+def _gauge_row(spec: ProblemSpec) -> np.ndarray:
+    """Weights l with l . u = sum u(T) m1 dx, u(T) averaged to the cells."""
+    g = spec.grid
+    ell = np.zeros((g.n_t + 1, g.n_xnodes))
+    half = 0.5 * g.dx * spec.m1
+    if g.periodic:
+        ell[-1] = half + np.roll(half, 1)
+    else:
+        ell[-1, :-1] += half
+        ell[-1, 1:] += half
+    return ell
+
+
+def _assemble(u: np.ndarray, spec: ProblemSpec, tau: float, kappa: float = 0.0,
+              *, with_jacobian: bool):
+    """Node-indexed residual and optionally the sparse Jacobian in u."""
     g = spec.grid
     nt, nn = g.n_t, g.n_xnodes
     dt, dx = g.dt, g.dx
@@ -123,8 +132,12 @@ def _assemble(u: np.ndarray, spec: ProblemSpec, rho: float, delta: float,
     R = np.zeros((nt + 1, nn))
     rows, cols, vals = [], [], []
 
-    def idx(k, i):
-        return k * nn + i
+    def add(row, kk, ii, coeff):
+        """Jacobian entries coeff of the rows row at the nodes (kk, ii)."""
+        col = kk * nn + ii
+        rows.append(row)
+        cols.append(col.ravel())
+        vals.append(np.broadcast_to(coeff, col.shape).ravel())
 
     # ----- interior rows: k = 1..nt-1, space-interior i -----
     ks = np.arange(1, nt)
@@ -152,17 +165,13 @@ def _assemble(u: np.ndarray, spec: ProblemSpec, rho: float, delta: float,
     R[K, I] = (
         -(u_tt - 2 * hp * u_tx + (hp * hp + cterm * hpp) * u_xx)
         + tau * dv * hp
-        + rho * u[K, I]
     )
 
     if with_jacobian:
         hppp = h_third(H, u_x)
         phi_p = m / (tau * m * fp + eps)
         gprime = fp + m * C.f_second(m)  # d(m f'(m))/dm
-        if picard:
-            chain = np.zeros_like(m)
-        else:
-            chain = hpp * u_xx * tau * gprime * phi_p
+        chain = hpp * u_xx * tau * gprime * phi_p
         a_tt = -1.0
         a_tx = 2.0 * hp
         a_xx = -(hp * hp + cterm * hpp)
@@ -173,74 +182,43 @@ def _assemble(u: np.ndarray, spec: ProblemSpec, rho: float, delta: float,
             + tau * dv * hpp
             - chain * hp
         )
-        a_0 = np.full_like(m, rho)
 
-        r_idx = idx(K, I).ravel()
-
-        def add(kk, ii, coeff):
-            rows.append(r_idx)
-            cols.append(idx(kk, ii).ravel())
-            vals.append(np.broadcast_to(coeff, K.shape).ravel().astype(float).copy())
-
-        add(K, I, a_0 + (-2.0) * a_tt / dt**2 + (-2.0) * a_xx / dx**2)
-        add(K + 1, I, a_tt / dt**2 + a_t / (2 * dt))
-        add(K - 1, I, a_tt / dt**2 - a_t / (2 * dt))
-        add(K, IP, a_xx / dx**2 + a_x / (2 * dx))
-        add(K, IM, a_xx / dx**2 - a_x / (2 * dx))
-        add(K + 1, IP, a_tx / (4 * dt * dx))
-        add(K - 1, IM, a_tx / (4 * dt * dx))
-        add(K + 1, IM, -a_tx / (4 * dt * dx))
-        add(K - 1, IP, -a_tx / (4 * dt * dx))
+        row = (K * nn + I).ravel()
+        add(row, K, I, (-2.0) * a_tt / dt**2 + (-2.0) * a_xx / dx**2)
+        add(row, K + 1, I, a_tt / dt**2 + a_t / (2 * dt))
+        add(row, K - 1, I, a_tt / dt**2 - a_t / (2 * dt))
+        add(row, K, IP, a_xx / dx**2 + a_x / (2 * dx))
+        add(row, K, IM, a_xx / dx**2 - a_x / (2 * dx))
+        add(row, K + 1, IP, a_tx / (4 * dt * dx))
+        add(row, K - 1, IM, a_tx / (4 * dt * dx))
+        add(row, K + 1, IM, -a_tx / (4 * dt * dx))
+        add(row, K - 1, IP, -a_tx / (4 * dt * dx))
 
     # ----- time-boundary rows: k in {0, nt}, space-interior i -----
-    for k, sgn, m_data in ((0, 1.0, spec.m0_nodes), (nt, -1.0, spec.m1_nodes)):
-        I1 = isp
-        if k == 0:
-            u_tb = (-3 * u[0, I1] + 4 * u[1, I1] - u[2, I1]) / (2 * dt)
-        else:
-            u_tb = (3 * u[nt, I1] - 4 * u[nt - 1, I1] + u[nt - 2, I1]) / (2 * dt)
-        u_xb = (u[k, ip1] - u[k, im1]) / (2 * dx)
-        hb, hpb, _ = h_eval(H, u_xb)
-        data = tau * (C.f(m_data[I1]) + Vn[I1]) + eps * np.log(m_data[I1])
-        R[k, I1] = -u_tb + hb + sgn * delta * u[k, I1] - data
-
+    # -u_t is the one-sided second-order difference into the domain (s = +-1)
+    for k, s, m_data in ((0, 1, spec.m0_nodes), (nt, -1, spec.m1_nodes)):
+        minus_ut = s * (3 * u[k, isp] - 4 * u[k + s, isp] + u[k + 2 * s, isp]) / (2 * dt)
+        hb, hpb, _ = h_eval(H, (u[k, ip1] - u[k, im1]) / (2 * dx))
+        data = tau * (C.f(m_data[isp]) + Vn[isp]) + eps * np.log(m_data[isp])
+        R[k, isp] = minus_ut + hb - data
         if with_jacobian:
-            r_idx = idx(np.full_like(I1, k), I1).ravel()
-
-            def addb(kk, ii, coeff):
-                rows.append(r_idx)
-                cols.append(idx(kk, ii).ravel())
-                vals.append(np.broadcast_to(coeff, I1.shape).ravel().astype(float).copy())
-
-            if k == 0:
-                addb(np.full_like(I1, 0), I1, 3.0 / (2 * dt) + delta)
-                addb(np.full_like(I1, 1), I1, -2.0 / dt)
-                addb(np.full_like(I1, 2), I1, 1.0 / (2 * dt))
-            else:
-                addb(np.full_like(I1, nt), I1, -3.0 / (2 * dt) - delta)
-                addb(np.full_like(I1, nt - 1), I1, 2.0 / dt)
-                addb(np.full_like(I1, nt - 2), I1, -1.0 / (2 * dt))
-            addb(np.full_like(I1, k), ip1, hpb / (2 * dx))
-            addb(np.full_like(I1, k), im1, -hpb / (2 * dx))
+            row = k * nn + isp
+            add(row, k, isp, 3 * s / (2 * dt))
+            add(row, k + s, isp, -2 * s / dt)
+            add(row, k + 2 * s, isp, s / (2 * dt))
+            add(row, k, ip1, hpb / (2 * dx))
+            add(row, k, im1, -hpb / (2 * dx))
 
     # ----- lateral Neumann rows (interval): all k, i in {0, nn-1} -----
     if not periodic:
         kk = np.arange(nt + 1)
-        R[kk, 0] = (-3 * u[kk, 0] + 4 * u[kk, 1] - u[kk, 2]) / (2 * dx)
-        R[kk, nn - 1] = (
-            3 * u[kk, nn - 1] - 4 * u[kk, nn - 2] + u[kk, nn - 3]
-        ) / (2 * dx)
-        if with_jacobian:
-            for i0, coeffs in (
-                (0, ((0, -3.0), (1, 4.0), (2, -1.0))),
-                (nn - 1, ((nn - 1, 3.0), (nn - 2, -4.0), (nn - 3, 1.0))),
-            ):
-                r_idx = idx(kk, np.full_like(kk, i0)).ravel()
-                for col_i, cval in coeffs:
-                    rows.append(r_idx)
-                    cols.append(idx(kk, np.full_like(kk, col_i)).ravel())
-                    vals.append(np.full(kk.shape, cval / (2 * dx)))
+        for i0, s in ((0, 1), (nn - 1, -1)):
+            R[kk, i0] = -s * (3 * u[kk, i0] - 4 * u[kk, i0 + s] + u[kk, i0 + 2 * s]) / (2 * dx)
+            if with_jacobian:
+                for off, c in ((0, -3), (1, 4), (2, -1)):
+                    add(kk * nn + i0, kk, i0 + off * s, c * s / (2 * dx))
 
+    R += kappa * _kappa_column(g)
     J = None
     if with_jacobian:
         n = (nt + 1) * nn
@@ -251,11 +229,11 @@ def _assemble(u: np.ndarray, spec: ProblemSpec, rho: float, delta: float,
     return R, J
 
 
-def assemble_residual(u: PotentialField, spec: ProblemSpec, rho: float,
-                      delta: float, tau: float) -> DualResidual:
-    """Residual of the continuation problem at u, split by row type."""
+def assemble_residual(u: PotentialField, spec: ProblemSpec, tau: float,
+                      kappa: float = 0.0) -> DualResidual:
+    """PDE rows of the continuation problem at (u, kappa), split by row type."""
     _require_smooth(spec)
-    R, _ = _assemble(u.values, spec, rho, delta, tau, with_jacobian=False)
+    R, _ = _assemble(u.values, spec, tau, kappa, with_jacobian=False)
     g = spec.grid
     nt, nn = g.n_t, g.n_xnodes
     if g.periodic:
@@ -269,11 +247,11 @@ def assemble_residual(u: PotentialField, spec: ProblemSpec, rho: float,
     return DualResidual(interior=interior, boundary=boundary, lateral=lateral)
 
 
-def assemble_jacobian(u: PotentialField, spec: ProblemSpec, rho: float,
-                      delta: float, tau: float) -> sp.csc_matrix:
-    """Exact linearization of assemble_residual (node-flattened ordering)."""
+def assemble_jacobian(u: PotentialField, spec: ProblemSpec,
+                      tau: float) -> sp.csc_matrix:
+    """Exact linearization in u of assemble_residual (node-flattened ordering)."""
     _require_smooth(spec)
-    _, J = _assemble(u.values, spec, rho, delta, tau, with_jacobian=True)
+    _, J = _assemble(u.values, spec, tau, with_jacobian=True)
     return J
 
 
@@ -303,15 +281,6 @@ def m_from_u(u: PotentialField, spec: ProblemSpec) -> DensityField:
     return DensityField(g, m)
 
 
-def normalize(u: PotentialField, spec: ProblemSpec) -> PotentialField:
-    """Pin the additive gauge: shift u so that sum u(T) m1 dx = 0."""
-    g = spec.grid
-    uT = u.values[-1]
-    uT_c = 0.5 * (uT + np.roll(uT, -1)) if g.periodic else 0.5 * (uT[1:] + uT[:-1])
-    shift = float(np.sum(uT_c * spec.m1) * g.dx)
-    return PotentialField(g, u.values - shift)
-
-
 def _sup_bound_rhs(spec: ProblemSpec) -> float:
     C, Vn = spec.coupling, spec.V_nodes
     a = float(np.max(np.abs(C.f_eps(spec.m0_nodes) + Vn)))
@@ -319,79 +288,102 @@ def _sup_bound_rhs(spec: ProblemSpec) -> float:
     return a + b
 
 
-def _newton_stage(u, spec, rho, delta, tau, sched: ContinuationSchedule):
-    """Damped Newton at fixed (rho, delta, tau); returns (u, iters, resid, ok)."""
-    R, _ = _assemble(u, spec, rho, delta, tau, False)
+def _newton_step(z, R, spec, tau, e, ell) -> np.ndarray:
+    """Newton step dz = (du, dkappa) at z = (u, kappa), given the flat PDE rows R.
+
+    Solves J du + e dkappa = -R with the gauge ell . (u + du) = 0.  J is
+    bordered by e and a row pinning the node of u(T) with the largest gauge
+    weight, and the constant that keeps the gauge is added to du: the step
+    bordered by ell itself differs only by a constant, the kernel of J.  A
+    one-entry row leaves the fill of the factor as it is; ell, dense over
+    u(T), adds about 10%.
+    """
+    u = z[:-1]
+    _, J = _assemble(u.reshape(spec.grid.n_t + 1, -1), spec, tau, z[-1], with_jacobian=True)
+    pin = sp.csr_matrix(([1.0], ([0], [int(np.argmax(ell))])), shape=(1, e.size))
+    # rebinding J frees the unbordered matrix before the factorization
+    J = sp.bmat([[J, sp.csc_matrix(e[:, None])], [pin, None]], format="csc")
+    step = spsolve(J, np.append(-R, 0.0))
+    step[:-1] -= ell @ (u + step[:-1]) / ell.sum()
+    return step
+
+
+def _newton_stage(z, spec, tau, e, ell, sched: ContinuationSchedule):
+    """Damped Newton on z = (u, kappa) at fixed tau; returns (z, iters, resid, ok)."""
+    shape = (spec.grid.n_t + 1, spec.grid.n_xnodes)
+
+    def residual(z):
+        R, _ = _assemble(z[:-1].reshape(shape), spec, tau, z[-1], with_jacobian=False)
+        return R.ravel()
+
+    R = residual(z)
     rnorm = float(np.max(np.abs(R)))
     for it in range(sched.max_newton_iters):
         if rnorm <= sched.newton_tol:
-            return u, it, rnorm, True
-        _, J = _assemble(u, spec, rho, delta, tau, True, picard=sched.use_picard)
-        step = spsolve(J, -R.ravel()).reshape(u.shape)
+            return z, it, rnorm, True
+        step = _newton_step(z, R, spec, tau, e, ell)
         t = 1.0
         for _ in range(30):
-            u_try = u + t * step
-            R_try, _ = _assemble(u_try, spec, rho, delta, tau, False)
+            z_try = z + t * step
+            # a long trial step may overflow phi; non-finite residuals are rejected
+            with np.errstate(over="ignore", invalid="ignore"):
+                R_try = residual(z_try)
             r_try = float(np.max(np.abs(R_try)))
             if np.isfinite(r_try) and r_try <= (1.0 - 1e-4 * t) * rnorm:
                 break
             t *= 0.5
         else:
-            return u, it, rnorm, rnorm <= sched.newton_tol
-        u, R, rnorm = u_try, R_try, r_try
+            return z, it, rnorm, False
+        z, R, rnorm = z_try, R_try, r_try
         if t * float(np.max(np.abs(step))) <= sched.step_tol:
-            break
-    return u, sched.max_newton_iters, rnorm, rnorm <= sched.newton_tol
+            return z, it + 1, rnorm, rnorm <= sched.newton_tol
+    return z, sched.max_newton_iters, rnorm, rnorm <= sched.newton_tol
 
 
 def solve_dual(spec: ProblemSpec, sched: ContinuationSchedule | None = None):
-    """Continuation-in-(rho, delta, tau) Newton solve of the potential system.
+    """Continuation-in-tau Newton solve of the gauge-pinned potential system.
 
-    Returns (u_hat: PotentialField, m: DensityField, DualLog) with u_hat
-    normalized per sum u(T) m1 dx = 0 and m = m_from_u(u_hat).
+    Returns (u: PotentialField, m: DensityField, DualLog) with u in the gauge
+    sum u(T) m1 dx = 0 and m = m_from_u(u).
     """
     _require_smooth(spec)
     sched = sched or ContinuationSchedule()
     g = spec.grid
-    u = np.zeros((g.n_t + 1, g.n_xnodes))
+    shape = (g.n_t + 1, g.n_xnodes)
+    e = _kappa_column(g).ravel()
+    ell = _gauge_row(spec).ravel()
+    z = np.zeros(e.size + 1)
     log = DualLog()
     sup_rhs = _sup_bound_rhs(spec)
 
-    stages = sched.stages()
+    taus = list(sched.tau_sequence)
     pos = 0
-    while pos < len(stages):
-        rho, delta, tau = stages[pos]
-        u_new, iters, resid, ok = _newton_stage(u, spec, rho, delta, tau, sched)
+    while pos < len(taus):
+        tau = taus[pos]
+        z_new, iters, resid, ok = _newton_stage(z, spec, tau, e, ell, sched)
         if not ok:
             if log.refined:
                 raise DualSolveError(
-                    f"Newton stagnated at (rho={rho:g}, delta={delta:g}, "
-                    f"tau={tau:g}); residual {resid:.3e}"
+                    f"Newton stagnated at tau={tau:g}; residual {resid:.3e}"
                 )
-            # roll back and insert a geometric midpoint stage once
+            # roll back and insert a midpoint stage in tau once
             log.refined = True
-            prev = stages[pos - 1] if pos > 0 else (rho, delta, 0.0)
-            mid = (
-                float(np.sqrt(prev[0] * rho)),
-                float(np.sqrt(prev[1] * delta)),
-                0.5 * (prev[2] + tau),
-            )
-            stages.insert(pos, mid)
+            taus.insert(pos, 0.5 * ((taus[pos - 1] if pos > 0 else 0.0) + tau))
             continue
-        u = u_new
+        z = z_new
+        kappa = float(z[-1])
         log.stages.append({
-            "rho": rho,
-            "delta": delta,
             "tau": tau,
+            "kappa": kappa,
             "newton_iters": iters,
             "residual": resid,
-            "sup_bound_lhs": delta * float(np.max(np.abs(u))),
+            "sup_bound_lhs": abs(kappa),
             "sup_bound_rhs": sup_rhs,
-            "grad_sup": float(np.max(np.abs(np.diff(u, axis=1)))) / g.dx,
+            "grad_sup": float(np.max(np.abs(np.diff(z[:-1].reshape(shape), axis=1)))) / g.dx,
         })
         pos += 1
 
-    u_hat = normalize(PotentialField(g, u), spec)
+    u = PotentialField(g, z[:-1].reshape(shape))
     log.converged = True
     log.final_residual = log.stages[-1]["residual"]
-    return u_hat, m_from_u(u_hat, spec), log
+    return u, m_from_u(u, spec), log

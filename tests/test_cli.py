@@ -153,6 +153,35 @@ def test_non_convergence_exit(gibbs_cfg, tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+BUMP_INTERVAL_YAML = """\
+grid:
+  t_horizon: 1.0
+  x_min: 0.0
+  x_max: 1.0
+  n_t: 32
+  n_x: 32
+  topology: interval-neumann
+problem:
+  coupling: {epsilon: 0.2}
+  m0: {family: bump, center: 0.25, width: 0.12, floor: 0.2}
+  m1: {family: bump, center: 0.5, width: 0.12, floor: 0.2}
+method: dual
+"""
+
+
+def test_dual_bump_interval(tmp_path, capsys):
+    # the bump pair is not symmetric on the interval, so the data are not
+    # exactly compatible on the grid and kappa is nonzero
+    p = tmp_path / "bump.yaml"
+    p.write_text(BUMP_INTERVAL_YAML)
+    out = tmp_path / "o"
+    rc = main(["solve", "--config", str(p), "--method", "dual", "--out", str(out)])
+    assert rc == EXIT_OK, capsys.readouterr().err
+    stages = json.loads((out / "log.json").read_text())["dual"]["stages"]
+    assert [st["tau"] for st in stages] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert 0.0 < abs(stages[-1]["kappa"]) < 1e-3
+
+
 DEGENERATE_YAML = """\
 grid:
   t_horizon: 1.0
@@ -252,12 +281,19 @@ def test_parse_config_strictness():
     assert "grid" in str(exc.value)
 
 
-@pytest.mark.parametrize("extra", [{"seed": 3}, {"primal": {"tol_mass": 1e-8}}])
+@pytest.mark.parametrize("extra", [
+    {"seed": 3},
+    {"primal": {"tol_mass": 1e-8}},
+    {"dual": {"rho_sequence": [1.0, 1e-8]}},
+    {"dual": {"delta_sequence": [1.0, 1e-8]}},
+    {"dual": {"use_picard": True}},
+])
 def test_keys_without_effect_rejected(extra):
     raw = {"grid": {"t_horizon": 1.0, "x_min": 0.0, "x_max": 1.0,
                     "n_t": 4, "n_x": 4},
            "problem": {"m0": {"family": "uniform"}, "m1": {"family": "uniform"}}}
-    with pytest.raises(ConfigError, match="seed|tol_mass"):
+    with pytest.raises(ConfigError,
+                       match="seed|tol_mass|rho_sequence|delta_sequence|use_picard"):
         parse_config({**raw, **extra})
 
 

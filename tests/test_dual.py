@@ -9,10 +9,10 @@ from mfplan.dual import (
     assemble_jacobian,
     assemble_residual,
     m_from_u,
-    normalize,
     solve_dual,
 )
 from mfplan.grids import PotentialField, ProblemSpec, SpaceTimeGrid
+from mfplan.primal import PrimalConfig, solve_primal
 from mfplan.hamiltonian import (
     CouplingSpec,
     DegenerateHamiltonianError,
@@ -20,7 +20,7 @@ from mfplan.hamiltonian import (
     h_eval,
 )
 
-from conftest import make_gibbs_spec
+from conftest import make_bump_spec, make_gibbs_spec
 
 QUAD_H = HamiltonianSpec()
 
@@ -37,17 +37,15 @@ def _field(spec, values):
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        ContinuationSchedule(rho_sequence=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        ContinuationSchedule(rho_sequence=(1.0, 0.0))
-    with pytest.raises(ValueError):
         ContinuationSchedule(tau_sequence=(0.5, 1.0))
-    s = ContinuationSchedule()
-    stages = s.stages()
-    assert stages[0] == (1.0, 1.0, 0.0)
-    assert stages[-1] == (1e-8, 1e-8, 1.0)
-    # tau ramps to 1 before the penalties start decaying
-    assert all(t == 1.0 for _, _, t in stages[len(s.tau_sequence) - 1:])
+    with pytest.raises(ValueError):
+        ContinuationSchedule(tau_sequence=(0.0, 0.75, 0.5, 1.0))
+    with pytest.raises(ValueError):
+        ContinuationSchedule(tau_sequence=(0.0, 0.5))
+    with pytest.raises(ValueError):
+        ContinuationSchedule(tau_sequence=())
+    assert ContinuationSchedule(tau_sequence=[0, 1]).tau_sequence == (0.0, 1.0)
+    assert ContinuationSchedule().tau_sequence == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def test_refuses_degenerate_hamiltonian():
@@ -108,7 +106,7 @@ def test_residual_zero_at_exact_gibbs_potential():
     g = spec.grid
     z = float(np.sum(np.exp(-spec.V / eps)) * g.dx)
     u = eps * math.log(z) * g.t_nodes()[:, None] * np.ones(g.n_xnodes)
-    r = assemble_residual(_field(spec, u), spec, 0.0, 0.0, 1.0)
+    r = assemble_residual(_field(spec, u), spec, 1.0)
     assert np.max(np.abs(r.interior)) <= 1e-10
     assert np.max(np.abs(r.boundary)) <= 1e-10
     assert np.max(np.abs(r.lateral)) <= 1e-10
@@ -118,7 +116,7 @@ def test_residual_constant_potential_rows():
     spec = _uniform_spec(eps=0.5)
     g = spec.grid
     r = assemble_residual(_field(spec, np.zeros((g.n_t + 1, g.n_xnodes))),
-                          spec, 0.0, 0.0, 1.0)
+                          spec, 1.0)
     # uniform marginals: log m0 = 0 on the nodes, every row vanishes
     assert np.max(np.abs(r.interior)) == 0.0
     assert np.max(np.abs(r.boundary)) <= 1e-14
@@ -126,20 +124,20 @@ def test_residual_constant_potential_rows():
     # with nonuniform data the t=0 row picks up -eps*log(m0) exactly
     spec2 = make_gibbs_spec(8)
     rr = assemble_residual(
-        _field(spec2, np.zeros((9, spec2.grid.n_xnodes))), spec2, 0.0, 0.0, 1.0)
+        _field(spec2, np.zeros((9, spec2.grid.n_xnodes))), spec2, 1.0)
     eps = spec2.coupling.epsilon
     expect = -(eps * np.log(spec2.m0_nodes[1:-1]) + spec2.V_nodes[1:-1])
     assert np.max(np.abs(rr.boundary[0] - expect)) <= 1e-12
 
 
 def test_residual_gauge_invariance(rng):
-    # at rho = delta = 0 the system only sees derivatives of u
+    # at fixed kappa the PDE rows only see derivatives of u
     for topology in ("interval-neumann", "torus"):
         spec = _uniform_spec(5, 6, topology, eps=0.3)
         g = spec.grid
         u = rng.standard_normal((g.n_t + 1, g.n_xnodes)) * 0.1
-        r1 = assemble_residual(_field(spec, u), spec, 0.0, 0.0, 1.0)
-        r2 = assemble_residual(_field(spec, u + 7.3), spec, 0.0, 0.0, 1.0)
+        r1 = assemble_residual(_field(spec, u), spec, 1.0, 0.2)
+        r2 = assemble_residual(_field(spec, u + 7.3), spec, 1.0, 0.2)
         assert np.max(np.abs(r1.interior - r2.interior)) <= 1e-12
         assert np.max(np.abs(r1.boundary - r2.boundary)) <= 1e-12
 
@@ -157,8 +155,8 @@ def test_residual_against_independent_loops(topology, rng):
     nt, nn = g.n_t, g.n_xnodes
     dt, dx = g.dt, g.dx
     u = rng.standard_normal((nt + 1, nn)) * 0.2
-    rho, delta, tau = 0.3, 0.2, 0.8
-    r = assemble_residual(_field(spec, u), spec, rho, delta, tau)
+    tau, kappa = 0.8, 0.3
+    r = assemble_residual(_field(spec, u), spec, tau, kappa)
 
     Vn, dVn = spec.V_nodes, np.zeros(nn)
     if g.periodic:
@@ -186,7 +184,7 @@ def test_residual_against_independent_loops(topology, rng):
             m = coupling.phi(-ut + hval - tau * Vn[i], tau)
             c = eps + tau * m * coupling.f_prime(m) * m / m  # = eps + tau*m*f'
             expect = (-(utt - 2 * hp * utx + (hp * hp + c * hpp) * uxx)
-                      + tau * dVn[i] * hp + rho * u[k, i])
+                      + tau * dVn[i] * hp + kappa)
             # phi is solved iteratively to ~1e-12 relative, allow that slack
             assert abs(r.interior[k - 1, col] - expect) <= 1e-10
 
@@ -203,7 +201,7 @@ def test_residual_against_independent_loops(topology, rng):
             ux = (u[k, ip] - u[k, im]) / (2 * dx)
             data = (tau * (coupling.f(md[i]) + Vn[i])
                     + eps * math.log(md[i]))
-            expect = -ut + 0.5 * ux * ux + sgn * delta * u[k, i] - data
+            expect = -ut + 0.5 * ux * ux + sgn * kappa - data
             assert abs(r.boundary[row, col] - expect) <= 1e-12
 
     if not g.periodic:
@@ -219,27 +217,47 @@ def test_residual_against_independent_loops(topology, rng):
 # Jacobian
 # ---------------------------------------------------------------------------
 
-def _flatten_residual(u, spec, rho, delta, tau):
-    g = spec.grid
+def _flatten_residual(u, spec, tau):
     from mfplan.dual import _assemble
-    R, _ = _assemble(u, spec, rho, delta, tau, False)
+    R, _ = _assemble(u, spec, tau, with_jacobian=False)
     return R.ravel()
 
 
-def test_jacobian_rho_linearity(rng):
-    spec = _uniform_spec(4, 5, eps=0.3)
+@pytest.mark.parametrize("topology", ["interval-neumann", "torus"])
+def test_residual_kappa_linearity(topology, rng):
+    # R(u, kappa + c) - R(u, kappa) = c e with e = +1 on the interior and
+    # t = 0 rows, -1 on the t = T rows and 0 on the lateral rows
+    spec = _uniform_spec(4, 5, topology, eps=0.3)
     g = spec.grid
     u = _field(spec, rng.standard_normal((g.n_t + 1, g.n_xnodes)) * 0.1)
-    j1 = assemble_jacobian(u, spec, 0.1, 0.2, 0.9).toarray()
-    j2 = assemble_jacobian(u, spec, 0.6, 0.2, 0.9).toarray()
-    diff = j2 - j1
-    # the difference is 0.5 * identity restricted to the interior rows
-    nn = g.n_xnodes
-    expect = np.zeros_like(diff)
-    for k in range(1, g.n_t):
-        for i in range(1, nn - 1):
-            expect[k * nn + i, k * nn + i] = 0.5
-    assert np.max(np.abs(diff - expect)) <= 1e-13
+    c = 0.7
+    r1 = assemble_residual(u, spec, 0.9, 0.2)
+    r2 = assemble_residual(u, spec, 0.9, 0.2 + c)
+    assert np.max(np.abs(r2.interior - r1.interior - c)) <= 1e-13
+    assert np.max(np.abs(r2.boundary[0] - r1.boundary[0] - c)) <= 1e-13
+    assert np.max(np.abs(r2.boundary[1] - r1.boundary[1] + c)) <= 1e-13
+    if r1.lateral is not None:
+        assert np.max(np.abs(r2.lateral - r1.lateral)) == 0.0
+
+
+@pytest.mark.parametrize("topology", ["interval-neumann", "torus"])
+def test_bordered_step_solves_gauge_system(topology, rng):
+    # the constants span the kernel of J; the step solves J du + e dkappa = -R
+    # with the gauge row ell . (u + du) = 0, as the system bordered by ell
+    from mfplan.dual import _assemble, _gauge_row, _kappa_column, _newton_step
+    g = SpaceTimeGrid(1.0, 0.0, 1.0, 5, 6, topology)
+    m1 = np.exp(rng.standard_normal(6) * 0.3)
+    spec = ProblemSpec(g, np.ones(6), m1, np.zeros(6), QUAD_H, CouplingSpec(epsilon=0.4))
+    u = rng.standard_normal((g.n_t + 1, g.n_xnodes)) * 0.2
+    R, J = _assemble(u, spec, 1.0, 0.1, with_jacobian=True)
+    J = J.toarray()
+    assert np.max(np.abs(J @ np.ones(J.shape[1]))) <= 1e-10 * np.max(np.abs(J))
+    assert np.linalg.matrix_rank(J) == J.shape[0] - 1
+    e, ell = _kappa_column(g).ravel(), _gauge_row(spec).ravel()
+    bordered = np.block([[J, e[:, None]], [ell[None, :], np.zeros((1, 1))]])
+    expect = np.linalg.solve(bordered, np.append(-R.ravel(), -ell @ u.ravel()))
+    step = _newton_step(np.append(u, 0.1), R.ravel(), spec, 1.0, e, ell)
+    assert np.max(np.abs(step - expect)) <= 1e-10 * np.max(np.abs(expect))
 
 
 @pytest.mark.parametrize("topology", ["interval-neumann", "torus"])
@@ -248,14 +266,14 @@ def test_jacobian_matches_fd(topology, rng):
     g = spec.grid
     shape = (g.n_t + 1, g.n_xnodes)
     u = rng.standard_normal(shape) * 0.2
-    rho, delta, tau = 0.05, 0.05, 1.0
-    J = assemble_jacobian(_field(spec, u), spec, rho, delta, tau)
+    tau = 1.0
+    J = assemble_jacobian(_field(spec, u), spec, tau)
     for _ in range(5):
         v = rng.standard_normal(shape)
         v /= np.max(np.abs(v))
         h = 1e-6
-        rp = _flatten_residual(u + h * v, spec, rho, delta, tau)
-        rm = _flatten_residual(u - h * v, spec, rho, delta, tau)
+        rp = _flatten_residual(u + h * v, spec, tau)
+        rm = _flatten_residual(u - h * v, spec, tau)
         fd = (rp - rm) / (2 * h)
         jv = J @ v.ravel()
         assert np.max(np.abs(jv - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jv)))
@@ -291,24 +309,11 @@ def test_solve_log_contents(solves):
         assert st["residual"] <= 1e-8
         assert st["sup_bound_rhs"] > 0.0
         assert np.isfinite(st["grad_sup"])
-    # tau ramp precedes penalty decay, ending at the floor
-    assert log.stages[-1]["rho"] == pytest.approx(1e-8)
-    assert log.stages[-1]["tau"] == 1.0
-
-
-def test_solve_picard_variant():
-    spec = make_gibbs_spec(12)
-    u, m, log = solve_dual(spec, ContinuationSchedule(use_picard=True,
-                                                      max_newton_iters=200))
-    assert log.converged
-    assert np.max(np.abs(m.values - spec.m0)) <= 1e-7
-
-
-def test_normalize_idempotent(solves):
-    spec = solves.spec("gibbs", 16)
-    u, _, _ = solves.dual("gibbs", 16)
-    again = normalize(u, spec)
-    assert np.max(np.abs(again.values - u.values)) <= 1e-12
+        # the delta -> 0 form of the a-priori bound delta |u_delta| <= rhs
+        assert st["sup_bound_lhs"] == abs(st["kappa"])
+        assert st["sup_bound_lhs"] <= st["sup_bound_rhs"]
+    # one stage per tau, ending at the target problem
+    assert [st["tau"] for st in log.stages] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_solve_congestion_mass(solves):
@@ -322,3 +327,24 @@ def test_solve_congestion_mass(solves):
     tol = 5 * (g.dt + g.dx)
     assert np.sum(np.abs(m.values[0] - spec.m0)) * g.dx <= tol
     assert np.sum(np.abs(m.values[-1] - spec.m1)) * g.dx <= tol
+
+
+def test_solve_bump_interval_against_primal():
+    # a non-symmetric interval instance: kappa, the discrete compatibility
+    # defect, is nonzero and shrinks with the mesh, and the recovered density
+    # agrees with the primal one within criterion 2's 5(dt+dx)
+    errs, kappas = [], []
+    for n in (16, 32):
+        spec = make_bump_spec(n, topology="interval-neumann")
+        g = spec.grid
+        u, m, log = solve_dual(spec)
+        state, plog = solve_primal(spec, PrimalConfig())
+        assert log.converged and plog.converged
+        rows = np.sum(np.abs(m.values - state.m.values), axis=1) * g.dx
+        errs.append(float(np.trapezoid(rows, dx=g.dt)))
+        assert errs[-1] <= 5.0 * (g.dt + g.dx)
+        kappas.append(abs(log.stages[-1]["kappa"]))
+        uT = u.values[-1]
+        assert abs(float(np.sum(0.5 * (uT[1:] + uT[:-1]) * spec.m1) * g.dx)) <= 1e-12
+    assert errs[1] < errs[0]
+    assert 0.0 < kappas[1] < kappas[0]
