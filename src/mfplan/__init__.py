@@ -4,7 +4,7 @@ Two independent routes to the same optimum:
 
 * a primal Douglas-Rachford splitting of the kinetic+entropy+congestion
   functional under the discrete continuity constraint (``primal``), and
-* a Newton continuation solver for the quasilinear space-time elliptic
+* a nested-mesh Newton solver for the quasilinear space-time elliptic
   equation satisfied by the dual potential (``dual``),
 
 plus numerical checks of the associated a-priori estimates (``estimates``)

@@ -159,10 +159,11 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
             "final_value": primal_log.final_value,
             "feasibility": primal_log.feasibility,
             "fp_residual": primal_log.fp_residual,
+            "reason": primal_log.reason,
         }
         if not primal_log.converged:
             _write_json(outdir / "log.json", log_payload)
-            print("primal solve did not converge", file=sys.stderr)
+            print(f"primal solve did not converge: {primal_log.reason}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
     if cfg.method in ("dual", "both"):
         try:
@@ -175,7 +176,6 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
             "stages": dual_log.stages,
             "converged": dual_log.converged,
             "final_residual": dual_log.final_residual,
-            "refined": dual_log.refined,
         }
 
     fields = {}

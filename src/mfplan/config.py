@@ -226,31 +226,15 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     _reject(primal_block, "primal")
 
     dual_block = dict(_take(raw, "<root>", "dual", {}))
-
-    def _seq(key, default):
-        val = _take(dual_block, "dual", key, None)
-        if val is None:
-            return default
-        if not isinstance(val, (list, tuple)) or not val:
-            raise ConfigError(f"dual.{key}", "expected a non-empty list")
-        return tuple(_number(x, f"dual.{key}") for x in val)
-
-    try:
-        dual_cfg = ContinuationSchedule(
-            tau_sequence=_seq("tau_sequence",
-                              ContinuationSchedule().tau_sequence),
-            newton_tol=_number(_take(dual_block, "dual", "newton_tol", 1e-10),
-                               "dual.newton_tol", minimum=0.0, strict=True),
-            step_tol=_number(_take(dual_block, "dual", "step_tol", 1e-13),
-                             "dual.step_tol", minimum=0.0, strict=True),
-            max_newton_iters=_number(
-                _take(dual_block, "dual", "max_newton_iters", 50),
-                "dual.max_newton_iters", integer=True, minimum=1),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("dual", str(exc)) from None
+    dual_cfg = ContinuationSchedule(
+        newton_tol=_number(_take(dual_block, "dual", "newton_tol", 1e-10),
+                           "dual.newton_tol", minimum=0.0, strict=True),
+        step_tol=_number(_take(dual_block, "dual", "step_tol", 1e-13),
+                         "dual.step_tol", minimum=0.0, strict=True),
+        max_newton_iters=_number(
+            _take(dual_block, "dual", "max_newton_iters", 50),
+            "dual.max_newton_iters", integer=True, minimum=1),
+    )
     _reject(dual_block, "dual")
 
     checks_val = _take(raw, "<root>", "checks", [])

@@ -1,16 +1,16 @@
-"""Newton continuation solver for the space-time elliptic potential equation.
+"""Nested-mesh Newton solver for the space-time elliptic potential equation.
 
 The potential u and the constant kappa solve the quasilinear problem
 
     -[u_tt - 2 H_p u_tx + (H_p^2 + (m f'(m) + eps) H_pp) u_xx]
-        + tau DV . H_p(u_x) + kappa = 0                       in the interior,
-    -u_t + H(u_x) + kappa = tau (f(m0) + V) + eps log m0       at t = 0,
-    -u_t + H(u_x) - kappa = tau (f(m1) + V) + eps log m1       at t = T,
+        + DV . H_p(u_x) + kappa = 0                           in the interior,
+    -u_t + H(u_x) + kappa = f(m0) + V + eps log m0             at t = 0,
+    -u_t + H(u_x) - kappa = f(m1) + V + eps log m1             at t = T,
     D_x u = 0 on the lateral boundary (interval topology),
     sum u(T) m1 dx = 0                                          (the gauge),
 
 with m recovered pointwise through the inverse coupling:
-m = (tau f + eps log)^{-1}(-u_t + H(u_x) - tau V).
+m = (f + eps log)^{-1}(-u_t + H(u_x) - V).
 
 This is the delta -> 0 limit of the penalized problem (rho u in the
 interior, +-delta u at t = 0, T, with rho = delta): delta u_delta tends to
@@ -19,11 +19,12 @@ gauge pins.  kappa is the discrete compatibility defect of the data and
 shrinks with the mesh; |kappa| is the limit of the a-priori quantity
 delta sup|u_delta|.
 
-The homotopy parameter tau deforms a trivially solvable problem (tau = 0)
-into the target (tau = 1).  The Jacobian in u has the constants as its
-kernel; bordered by the column dR/dkappa and one row it is nonsingular,
-and each Newton step takes one sparse solve of the bordered system.
-Starting from u = 0, every iterate is in the gauge.
+The Jacobian in u has the constants as its kernel; bordered by the column
+dR/dkappa and one row it is nonsingular, and each Newton step takes one
+sparse solve of the bordered system.  Damped Newton runs by nested
+iteration (Briggs, Henson & McCormick, A Multigrid Tutorial, SIAM 2000):
+from u = 0 on the coarsest mesh, then from the bilinear interpolant of
+each level's solution on the mesh with twice the cells.
 
 Interior derivatives are centered; u_t in the time-boundary rows and the
 lateral Neumann rows use one-sided second-order differences.  The Jacobian
@@ -32,7 +33,7 @@ the derivatives of u through the inverse coupling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,22 +43,18 @@ from .grids import DensityField, PotentialField, ProblemSpec
 from .hamiltonian import DegenerateHamiltonianError, h_eval, h_third
 
 
+MIN_LEVEL_CELLS = 16  # per axis, on the coarsest mesh of the nested solve
+
+
 class DualSolveError(RuntimeError):
-    """Newton continuation failed even after one midpoint refinement in tau."""
+    """Damped Newton failed on one level of the nested solve."""
 
 
 @dataclass(frozen=True)
 class ContinuationSchedule:
-    tau_sequence: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     newton_tol: float = 1e-10
     step_tol: float = 1e-13
     max_newton_iters: int = 50
-
-    def __post_init__(self):
-        tau = tuple(float(x) for x in self.tau_sequence)
-        object.__setattr__(self, "tau_sequence", tau)
-        if not tau or any(np.diff(tau) < 0) or tau[0] != 0.0 or tau[-1] != 1.0:
-            raise ValueError("tau_sequence must go 0 -> 1 nondecreasing")
 
 
 @dataclass(frozen=True)
@@ -69,10 +66,9 @@ class DualResidual:
 
 @dataclass
 class DualLog:
-    stages: list = field(default_factory=list)
+    stages: list = field(default_factory=list)  # one per mesh level, coarsest first
     converged: bool = False
     final_residual: float = float("nan")
-    refined: bool = False
 
 
 def _require_smooth(spec: ProblemSpec):
@@ -117,7 +113,7 @@ def _gauge_row(spec: ProblemSpec) -> np.ndarray:
     return ell
 
 
-def _assemble(u: np.ndarray, spec: ProblemSpec, tau: float, kappa: float = 0.0,
+def _assemble(u: np.ndarray, spec: ProblemSpec, kappa: float = 0.0,
               *, with_jacobian: bool):
     """Node-indexed residual and optionally the sparse Jacobian in u."""
     g = spec.grid
@@ -157,21 +153,21 @@ def _assemble(u: np.ndarray, spec: ProblemSpec, tau: float, kappa: float = 0.0,
     u_tx = (u[K + 1, IP] - u[K + 1, IM] - u[K - 1, IP] + u[K - 1, IM]) / (4 * dt * dx)
 
     hval, hp, hpp = h_eval(H, u_x)
-    m = C.phi(-u_t + hval - tau * Vn[I], tau)
+    m = C.phi(-u_t + hval - Vn[I])
     fp = C.f_prime(m)
-    cterm = eps + tau * m * fp
+    cterm = eps + m * fp
     dv = dVn[I]
 
     R[K, I] = (
         -(u_tt - 2 * hp * u_tx + (hp * hp + cterm * hpp) * u_xx)
-        + tau * dv * hp
+        + dv * hp
     )
 
     if with_jacobian:
         hppp = h_third(H, u_x)
-        phi_p = m / (tau * m * fp + eps)
+        phi_p = m / cterm
         gprime = fp + m * C.f_second(m)  # d(m f'(m))/dm
-        chain = hpp * u_xx * tau * gprime * phi_p
+        chain = hpp * u_xx * gprime * phi_p
         a_tt = -1.0
         a_tx = 2.0 * hp
         a_xx = -(hp * hp + cterm * hpp)
@@ -179,7 +175,7 @@ def _assemble(u: np.ndarray, spec: ProblemSpec, tau: float, kappa: float = 0.0,
         a_x = (
             2.0 * hpp * u_tx
             - (2.0 * hp * hpp + cterm * hppp) * u_xx
-            + tau * dv * hpp
+            + dv * hpp
             - chain * hp
         )
 
@@ -199,7 +195,7 @@ def _assemble(u: np.ndarray, spec: ProblemSpec, tau: float, kappa: float = 0.0,
     for k, s, m_data in ((0, 1, spec.m0_nodes), (nt, -1, spec.m1_nodes)):
         minus_ut = s * (3 * u[k, isp] - 4 * u[k + s, isp] + u[k + 2 * s, isp]) / (2 * dt)
         hb, hpb, _ = h_eval(H, (u[k, ip1] - u[k, im1]) / (2 * dx))
-        data = tau * (C.f(m_data[isp]) + Vn[isp]) + eps * np.log(m_data[isp])
+        data = C.f_eps(m_data[isp]) + Vn[isp]
         R[k, isp] = minus_ut + hb - data
         if with_jacobian:
             row = k * nn + isp
@@ -229,11 +225,11 @@ def _assemble(u: np.ndarray, spec: ProblemSpec, tau: float, kappa: float = 0.0,
     return R, J
 
 
-def assemble_residual(u: PotentialField, spec: ProblemSpec, tau: float,
+def assemble_residual(u: PotentialField, spec: ProblemSpec,
                       kappa: float = 0.0) -> DualResidual:
-    """PDE rows of the continuation problem at (u, kappa), split by row type."""
+    """PDE rows of the potential system at (u, kappa), split by row type."""
     _require_smooth(spec)
-    R, _ = _assemble(u.values, spec, tau, kappa, with_jacobian=False)
+    R, _ = _assemble(u.values, spec, kappa, with_jacobian=False)
     g = spec.grid
     nt, nn = g.n_t, g.n_xnodes
     if g.periodic:
@@ -247,11 +243,10 @@ def assemble_residual(u: PotentialField, spec: ProblemSpec, tau: float,
     return DualResidual(interior=interior, boundary=boundary, lateral=lateral)
 
 
-def assemble_jacobian(u: PotentialField, spec: ProblemSpec,
-                      tau: float) -> sp.csc_matrix:
+def assemble_jacobian(u: PotentialField, spec: ProblemSpec) -> sp.csc_matrix:
     """Exact linearization in u of assemble_residual (node-flattened ordering)."""
     _require_smooth(spec)
-    _, J = _assemble(u.values, spec, tau, with_jacobian=True)
+    _, J = _assemble(u.values, spec, with_jacobian=True)
     return J
 
 
@@ -277,7 +272,7 @@ def m_from_u(u: PotentialField, spec: ProblemSpec) -> DensityField:
         ux_c = (uv[:, 1:] - uv[:, :-1]) / dx
         ut_c = 0.5 * (ut[:, 1:] + ut[:, :-1])
     hval = h_eval(spec.hamiltonian, ux_c)[0]
-    m = spec.coupling.phi(-ut_c + hval - spec.V, 1.0)
+    m = spec.coupling.phi(-ut_c + hval - spec.V)
     return DensityField(g, m)
 
 
@@ -288,7 +283,7 @@ def _sup_bound_rhs(spec: ProblemSpec) -> float:
     return a + b
 
 
-def _newton_step(z, R, spec, tau, e, ell) -> np.ndarray:
+def _newton_step(z, R, spec, e, ell) -> np.ndarray:
     """Newton step dz = (du, dkappa) at z = (u, kappa), given the flat PDE rows R.
 
     Solves J du + e dkappa = -R with the gauge ell . (u + du) = 0.  J is
@@ -299,7 +294,7 @@ def _newton_step(z, R, spec, tau, e, ell) -> np.ndarray:
     u(T), adds about 10%.
     """
     u = z[:-1]
-    _, J = _assemble(u.reshape(spec.grid.n_t + 1, -1), spec, tau, z[-1], with_jacobian=True)
+    _, J = _assemble(u.reshape(spec.grid.n_t + 1, -1), spec, z[-1], with_jacobian=True)
     pin = sp.csr_matrix(([1.0], ([0], [int(np.argmax(ell))])), shape=(1, e.size))
     # rebinding J frees the unbordered matrix before the factorization
     J = sp.bmat([[J, sp.csc_matrix(e[:, None])], [pin, None]], format="csc")
@@ -308,20 +303,22 @@ def _newton_step(z, R, spec, tau, e, ell) -> np.ndarray:
     return step
 
 
-def _newton_stage(z, spec, tau, e, ell, sched: ContinuationSchedule):
-    """Damped Newton on z = (u, kappa) at fixed tau; returns (z, iters, resid, ok)."""
-    shape = (spec.grid.n_t + 1, spec.grid.n_xnodes)
+def _newton_stage(z, spec, sched: ContinuationSchedule):
+    """Damped Newton from z = (u, kappa) shifted into the gauge; returns
+    (z, iters, residual), or raises DualSolveError naming the mesh."""
+    g = spec.grid
+    e, ell = _kappa_column(g).ravel(), _gauge_row(spec).ravel()
+    z = np.append(z[:-1] - ell @ z[:-1] / ell.sum(), z[-1])
 
     def residual(z):
-        R, _ = _assemble(z[:-1].reshape(shape), spec, tau, z[-1], with_jacobian=False)
+        R, _ = _assemble(z[:-1].reshape(g.n_t + 1, -1), spec, z[-1], with_jacobian=False)
         return R.ravel()
 
     R = residual(z)
     rnorm = float(np.max(np.abs(R)))
-    for it in range(sched.max_newton_iters):
-        if rnorm <= sched.newton_tol:
-            return z, it, rnorm, True
-        step = _newton_step(z, R, spec, tau, e, ell)
+    it = 0
+    while rnorm > sched.newton_tol and it < sched.max_newton_iters:
+        step = _newton_step(z, R, spec, e, ell)
         t = 1.0
         for _ in range(30):
             z_try = z + t * step
@@ -332,58 +329,73 @@ def _newton_stage(z, spec, tau, e, ell, sched: ContinuationSchedule):
             if np.isfinite(r_try) and r_try <= (1.0 - 1e-4 * t) * rnorm:
                 break
             t *= 0.5
-        else:
-            return z, it, rnorm, False
+        else:  # no trial step decreased the residual
+            break
         z, R, rnorm = z_try, R_try, r_try
+        it += 1
         if t * float(np.max(np.abs(step))) <= sched.step_tol:
-            return z, it + 1, rnorm, rnorm <= sched.newton_tol
-    return z, sched.max_newton_iters, rnorm, rnorm <= sched.newton_tol
+            break
+    if rnorm > sched.newton_tol:
+        raise DualSolveError(
+            f"Newton stagnated on the {g.n_t}x{g.n_x} level; residual {rnorm:.3e}")
+    return z, it, rnorm
+
+
+def _levels(spec: ProblemSpec) -> list[ProblemSpec]:
+    """The instance on nested meshes, coarsest first and spec last: the cells
+    per axis are halved while both counts are even and the halves keep
+    MIN_LEVEL_CELLS.  Cell data are pairwise cell averages, which keep unit
+    mass, and node data every other node, so no family is evaluated again."""
+    g = spec.grid
+    if g.n_t % 2 or g.n_x % 2 or min(g.n_t, g.n_x) < 2 * MIN_LEVEL_CELLS:
+        return [spec]
+    m0, m1, V = (0.5 * (a[0::2] + a[1::2]) for a in (spec.m0, spec.m1, spec.V))
+    coarse = ProblemSpec(
+        replace(g, n_t=g.n_t // 2, n_x=g.n_x // 2), m0, m1, V,
+        spec.hamiltonian, spec.coupling,
+        spec.m0_nodes[::2], spec.m1_nodes[::2], spec.V_nodes[::2],
+    )
+    return _levels(coarse) + [spec]
+
+
+def _prolong(u: np.ndarray, periodic: bool) -> np.ndarray:
+    """Bilinear interpolation of node values to the mesh with twice the cells."""
+    for axis, wrap in ((0, False), (1, periodic)):
+        n = u.shape[axis] - (not wrap)  # midpoints, one per cell
+        mid = 0.5 * (u + np.roll(u, -1, axis)).take(range(n), axis)
+        u = np.insert(u, np.arange(1, n + 1), mid, axis)
+    return u
 
 
 def solve_dual(spec: ProblemSpec, sched: ContinuationSchedule | None = None):
-    """Continuation-in-tau Newton solve of the gauge-pinned potential system.
+    """Nested-mesh damped Newton solve of the gauge-pinned potential system.
 
     Returns (u: PotentialField, m: DensityField, DualLog) with u in the gauge
-    sum u(T) m1 dx = 0 and m = m_from_u(u).
+    sum u(T) m1 dx = 0 and m = m_from_u(u).  Raises DualSolveError naming
+    the mesh level on which Newton failed.
     """
     _require_smooth(spec)
     sched = sched or ContinuationSchedule()
-    g = spec.grid
-    shape = (g.n_t + 1, g.n_xnodes)
-    e = _kappa_column(g).ravel()
-    ell = _gauge_row(spec).ravel()
-    z = np.zeros(e.size + 1)
     log = DualLog()
-    sup_rhs = _sup_bound_rhs(spec)
-
-    taus = list(sched.tau_sequence)
-    pos = 0
-    while pos < len(taus):
-        tau = taus[pos]
-        z_new, iters, resid, ok = _newton_stage(z, spec, tau, e, ell, sched)
-        if not ok:
-            if log.refined:
-                raise DualSolveError(
-                    f"Newton stagnated at tau={tau:g}; residual {resid:.3e}"
-                )
-            # roll back and insert a midpoint stage in tau once
-            log.refined = True
-            taus.insert(pos, 0.5 * ((taus[pos - 1] if pos > 0 else 0.0) + tau))
-            continue
-        z = z_new
-        kappa = float(z[-1])
+    u, kappa = None, 0.0
+    for lvl in _levels(spec):
+        g = lvl.grid
+        u = np.zeros((g.n_t + 1, g.n_xnodes)) if u is None else _prolong(u, g.periodic)
+        # kappa carries over from the coarser level
+        z, iters, resid = _newton_stage(np.append(u, kappa), lvl, sched)
+        u, kappa = z[:-1].reshape(g.n_t + 1, -1), float(z[-1])
         log.stages.append({
-            "tau": tau,
+            "n_t": g.n_t,
+            "n_x": g.n_x,
             "kappa": kappa,
             "newton_iters": iters,
             "residual": resid,
             "sup_bound_lhs": abs(kappa),
-            "sup_bound_rhs": sup_rhs,
-            "grad_sup": float(np.max(np.abs(np.diff(z[:-1].reshape(shape), axis=1)))) / g.dx,
+            "sup_bound_rhs": _sup_bound_rhs(lvl),
+            "grad_sup": float(np.max(np.abs(np.diff(u, axis=1)))) / g.dx,
         })
-        pos += 1
 
-    u = PotentialField(g, z[:-1].reshape(shape))
+    u = PotentialField(spec.grid, u)
     log.converged = True
     log.final_residual = log.stages[-1]["residual"]
     return u, m_from_u(u, spec), log

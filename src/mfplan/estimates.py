@@ -17,7 +17,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .functional import PrimalState, functional_value
 from .grids import DensityField, MomentumField, PotentialField, ProblemSpec, SpaceTimeGrid
@@ -395,7 +394,9 @@ def _oracle_torus(m0, m1, grid: SpaceTimeGrid) -> np.ndarray:
         return float(np.mean(d * d))
 
     # circular transport: optimal rotation of the quantile pairing
-    # (the cost is convex in theta)
+    # (the cost is convex in theta); scipy.optimize is imported here, since
+    # it is slow to import and only this oracle needs it
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(cost, bounds=(-1.0, 1.0), method="bounded",
                           options={"xatol": 1e-13})
     theta = float(res.x)

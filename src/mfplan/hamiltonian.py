@@ -320,36 +320,36 @@ class CouplingSpec:
             return (c, 1.0) if c > 0 else None
         return None
 
-    def phi(self, r, tau: float = 1.0):
-        """Inverse of r = tau*f(m) + eps*log m, computed in y = log m.
+    def phi(self, r):
+        """Inverse of r = f(m) + eps*log m, computed in y = log m.
 
         Closed form unless f is a power; then safeguarded Newton from the
         smaller of the entropic guess r/eps and the guess that ignores the
-        entropy, with the residual |tau f(m) + eps log m - r| <=
+        entropy, with the residual |f(m) + eps log m - r| <=
         1e-12*max(1,|r|).
         """
         if self.epsilon <= 0.0:
             raise ValueError("phi requires eps > 0 (f^eps strictly increasing)")
         r = np.asarray(r, dtype=float)
         eps = self.epsilon
-        if self.f_family != "power" or tau == 0.0 or self.f_params[0] == 0.0:
-            c = tau * self.f_params[0] if self.f_family == "log" else 0.0
+        if self.f_family != "power" or self.f_params[0] == 0.0:
+            c = self.f_params[0] if self.f_family == "log" else 0.0
             m = np.exp(r / (eps + c))
         else:
-            m = np.exp(self._phi_power_log(r, tau))
+            m = np.exp(self._phi_power_log(r))
         return float(m) if m.ndim == 0 else m
 
-    def _phi_power_log(self, r: np.ndarray, tau: float) -> np.ndarray:
+    def _phi_power_log(self, r: np.ndarray) -> np.ndarray:
         """log phi(r) for f = c m^a by safeguarded Newton in y = log m."""
         eps = self.epsilon
-        tc, a = tau * self.f_params[0], self.f_params[1]
-        # g(y) = tc e^{ay} + eps y - r is increasing; g <= 0 at
-        # min(0, (r - tc)/eps) and at min(y_f, 0), g >= 0 at r/eps and at
-        # max(y_f, 0), where y_f = log(r/tc)/a ignores the entropy
-        lo = np.minimum(0.0, (r - tc) / eps)
+        c, a = self.f_params
+        # g(y) = c e^{ay} + eps y - r is increasing; g <= 0 at
+        # min(0, (r - c)/eps) and at min(y_f, 0), g >= 0 at r/eps and at
+        # max(y_f, 0), where y_f = log(r/c)/a ignores the entropy
+        lo = np.minimum(0.0, (r - c) / eps)
         hi = r / eps
         with np.errstate(divide="ignore", invalid="ignore"):
-            y_f = np.log(np.maximum(r, 1e-300) / tc) / a
+            y_f = np.log(np.maximum(r, 1e-300) / c) / a
         pos = r > 0
         lo = np.where(pos, np.maximum(lo, np.minimum(y_f, 0.0)), lo)
         hi = np.where(pos, np.minimum(hi, np.maximum(y_f, 0.0)), hi)
@@ -358,17 +358,12 @@ class CouplingSpec:
 
         def fun(y, idx):
             with np.errstate(over="ignore", invalid="ignore"):
-                fm = tc * np.exp(a * y)
+                fm = c * np.exp(a * y)
                 g = fm + eps * y - rf[idx]
             # exp overflow means y is far above the root
             return np.where(np.isfinite(g), g, np.inf), a * fm + eps
 
         return safeguarded_newton(fun, y0, lo, hi, 1e-12 * np.maximum(1.0, np.abs(r)))
-
-    def phi_prime(self, m, tau: float = 1.0):
-        """d(phi)/dr at r = tau f(m) + eps log m:  m / (tau m f'(m) + eps)."""
-        m = np.asarray(m, dtype=float)
-        return m / (tau * m * self.f_prime(m) + self.epsilon)
 
 
 

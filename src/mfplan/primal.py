@@ -55,6 +55,7 @@ class PrimalLog:
     fp_residual: float = float("nan")
     sigma_final: float = float("nan")
     values: list = field(default_factory=list)
+    reason: str = ""  # why the iteration stopped unconverged
 
 
 class _Operators:
@@ -210,7 +211,8 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
         sV += cfg.theta * dV
 
         scale = max(1.0, float(np.max(np.abs(yU))), float(np.max(np.abs(yV))))
-        fp = max(float(np.max(np.abs(dU))), float(np.max(np.abs(dV)))) / scale
+        # np.maximum, unlike max(), propagates a NaN from either block
+        fp = float(np.maximum(np.max(np.abs(dU)), np.max(np.abs(dV)))) / scale
         log.values.append(
             float(np.sum(integrand(mY, wY, spec)) * g.dt * g.dx)
         )
@@ -219,12 +221,17 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
         if fp <= cfg.tol_kkt:
             log.converged = True
             break
+        if not np.isfinite(fp):
+            log.reason = f"non-finite fixed-point residual at iteration {it}"
+            break
         # single documented stagnation heuristic: halve sigma once
         if it % 2000 == 0:
             if fp > 0.5 * best_fp and not halved:
                 sigma *= 0.5
                 halved = True
             best_fp = min(best_fp, fp)
+    else:
+        log.reason = f"max_iters ({cfg.max_iters}) reached"
 
     state = ops.unpack(yU, spec)
     if spec.coupling.epsilon > 0:

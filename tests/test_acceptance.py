@@ -227,13 +227,12 @@ def test_criterion_8_jacobian_exactness(rng, report):
         shape = (g.n_t + 1, g.n_xnodes)
         for _ in range(4):
             u = rng.standard_normal(shape) * 0.2
-            tau = 1.0
-            J = assemble_jacobian(PotentialField(g, u), spec, tau)
+            J = assemble_jacobian(PotentialField(g, u), spec)
             v = rng.standard_normal(shape)
             v /= np.max(np.abs(v))
             h = 1e-6
-            rp, _ = _assemble(u + h * v, spec, tau, with_jacobian=False)
-            rm, _ = _assemble(u - h * v, spec, tau, with_jacobian=False)
+            rp, _ = _assemble(u + h * v, spec, with_jacobian=False)
+            rm, _ = _assemble(u - h * v, spec, with_jacobian=False)
             fd = (rp - rm).ravel() / (2 * h)
             jv = J @ v.ravel()
             rel = float(np.max(np.abs(jv - fd)) / max(1.0, np.max(np.abs(jv))))

@@ -1,7 +1,15 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+
+import mfplan
 
 from mfplan.cli import (
     EXIT_CHECK_FAILED,
@@ -178,7 +186,8 @@ def test_dual_bump_interval(tmp_path, capsys):
     rc = main(["solve", "--config", str(p), "--method", "dual", "--out", str(out)])
     assert rc == EXIT_OK, capsys.readouterr().err
     stages = json.loads((out / "log.json").read_text())["dual"]["stages"]
-    assert [st["tau"] for st in stages] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    # one entry per mesh level, from 16 cells per axis up to the target mesh
+    assert [(st["n_t"], st["n_x"]) for st in stages] == [(16, 16), (32, 32)]
     assert 0.0 < abs(stages[-1]["kappa"]) < 1e-3
 
 
@@ -216,7 +225,7 @@ def _nan_gradient(m, *args):
     return nan, nan, nan
 
 
-def _failing_phi(self, r, tau=1.0):
+def _failing_phi(self, r):
     raise KernelSolveError("phi did not converge")
 
 
@@ -230,6 +239,41 @@ def test_kernel_failure_exit(gibbs_cfg, tmp_path, capsys, monkeypatch,
     assert run(str(gibbs_cfg), "solve", method=method,
                out=str(tmp_path / "o")) == EXIT_NOT_CONVERGED
     assert f"{method} solve failed" in capsys.readouterr().err
+
+
+def _nan_prox(mbar, wbar, *args):
+    return np.full_like(mbar, np.nan), np.full_like(wbar, np.nan)
+
+
+def test_non_finite_primal_residual_exit(gibbs_cfg, tmp_path, capsys, monkeypatch):
+    # a NaN fixed-point residual never passes fp <= tol_kkt; the solve must
+    # stop on it at once rather than spin to max_iters
+    monkeypatch.setattr("mfplan.primal.prox_block", _nan_prox)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(gibbs_cfg), "--method", "primal",
+                 "--out", str(out)]) == EXIT_NOT_CONVERGED
+    primal = json.loads((out / "log.json").read_text())["primal"]
+    assert not primal["converged"] and primal["iters"] <= 3
+    assert "non-finite" in primal["reason"]
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is the slowest import and only the torus oracle needs it
+    src = str(Path(mfplan.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, mfplan.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+def test_readme_config_example_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```yaml\n(.*?)```", readme.read_text(), re.S).group(1)
+    cfg = parse_config(yaml.safe_load(block))
+    assert cfg.method == "both" and cfg.spec.grid.n_t == 64
 
 
 def test_verify_runs_all_checks(gibbs_cfg, tmp_path, capsys):
@@ -287,13 +331,15 @@ def test_parse_config_strictness():
     {"dual": {"rho_sequence": [1.0, 1e-8]}},
     {"dual": {"delta_sequence": [1.0, 1e-8]}},
     {"dual": {"use_picard": True}},
+    {"dual": {"tau_sequence": [0.0, 0.5, 1.0]}},
 ])
 def test_keys_without_effect_rejected(extra):
     raw = {"grid": {"t_horizon": 1.0, "x_min": 0.0, "x_max": 1.0,
                     "n_t": 4, "n_x": 4},
            "problem": {"m0": {"family": "uniform"}, "m1": {"family": "uniform"}}}
     with pytest.raises(ConfigError,
-                       match="seed|tol_mass|rho_sequence|delta_sequence|use_picard"):
+                       match="seed|tol_mass|rho_sequence|delta_sequence|use_picard"
+                             "|tau_sequence"):
         parse_config({**raw, **extra})
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mfplan import dual
 from mfplan.dual import (
     ContinuationSchedule,
     DualSolveError,
@@ -20,7 +21,7 @@ from mfplan.hamiltonian import (
     h_eval,
 )
 
-from conftest import make_bump_spec, make_gibbs_spec
+from conftest import make_bump_spec, make_congestion_spec, make_gibbs_spec
 
 QUAD_H = HamiltonianSpec()
 
@@ -33,19 +34,6 @@ def _uniform_spec(n_t=4, n_x=6, topology="interval-neumann", eps=0.5):
 
 def _field(spec, values):
     return PotentialField(spec.grid, np.asarray(values, dtype=float))
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        ContinuationSchedule(tau_sequence=(0.5, 1.0))
-    with pytest.raises(ValueError):
-        ContinuationSchedule(tau_sequence=(0.0, 0.75, 0.5, 1.0))
-    with pytest.raises(ValueError):
-        ContinuationSchedule(tau_sequence=(0.0, 0.5))
-    with pytest.raises(ValueError):
-        ContinuationSchedule(tau_sequence=())
-    assert ContinuationSchedule(tau_sequence=[0, 1]).tau_sequence == (0.0, 1.0)
-    assert ContinuationSchedule().tau_sequence == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def test_refuses_degenerate_hamiltonian():
@@ -106,7 +94,7 @@ def test_residual_zero_at_exact_gibbs_potential():
     g = spec.grid
     z = float(np.sum(np.exp(-spec.V / eps)) * g.dx)
     u = eps * math.log(z) * g.t_nodes()[:, None] * np.ones(g.n_xnodes)
-    r = assemble_residual(_field(spec, u), spec, 1.0)
+    r = assemble_residual(_field(spec, u), spec)
     assert np.max(np.abs(r.interior)) <= 1e-10
     assert np.max(np.abs(r.boundary)) <= 1e-10
     assert np.max(np.abs(r.lateral)) <= 1e-10
@@ -115,8 +103,7 @@ def test_residual_zero_at_exact_gibbs_potential():
 def test_residual_constant_potential_rows():
     spec = _uniform_spec(eps=0.5)
     g = spec.grid
-    r = assemble_residual(_field(spec, np.zeros((g.n_t + 1, g.n_xnodes))),
-                          spec, 1.0)
+    r = assemble_residual(_field(spec, np.zeros((g.n_t + 1, g.n_xnodes))), spec)
     # uniform marginals: log m0 = 0 on the nodes, every row vanishes
     assert np.max(np.abs(r.interior)) == 0.0
     assert np.max(np.abs(r.boundary)) <= 1e-14
@@ -124,7 +111,7 @@ def test_residual_constant_potential_rows():
     # with nonuniform data the t=0 row picks up -eps*log(m0) exactly
     spec2 = make_gibbs_spec(8)
     rr = assemble_residual(
-        _field(spec2, np.zeros((9, spec2.grid.n_xnodes))), spec2, 1.0)
+        _field(spec2, np.zeros((9, spec2.grid.n_xnodes))), spec2)
     eps = spec2.coupling.epsilon
     expect = -(eps * np.log(spec2.m0_nodes[1:-1]) + spec2.V_nodes[1:-1])
     assert np.max(np.abs(rr.boundary[0] - expect)) <= 1e-12
@@ -136,8 +123,8 @@ def test_residual_gauge_invariance(rng):
         spec = _uniform_spec(5, 6, topology, eps=0.3)
         g = spec.grid
         u = rng.standard_normal((g.n_t + 1, g.n_xnodes)) * 0.1
-        r1 = assemble_residual(_field(spec, u), spec, 1.0, 0.2)
-        r2 = assemble_residual(_field(spec, u + 7.3), spec, 1.0, 0.2)
+        r1 = assemble_residual(_field(spec, u), spec, 0.2)
+        r2 = assemble_residual(_field(spec, u + 7.3), spec, 0.2)
         assert np.max(np.abs(r1.interior - r2.interior)) <= 1e-12
         assert np.max(np.abs(r1.boundary - r2.boundary)) <= 1e-12
 
@@ -155,8 +142,8 @@ def test_residual_against_independent_loops(topology, rng):
     nt, nn = g.n_t, g.n_xnodes
     dt, dx = g.dt, g.dx
     u = rng.standard_normal((nt + 1, nn)) * 0.2
-    tau, kappa = 0.8, 0.3
-    r = assemble_residual(_field(spec, u), spec, tau, kappa)
+    kappa = 0.3
+    r = assemble_residual(_field(spec, u), spec, kappa)
 
     Vn, dVn = spec.V_nodes, np.zeros(nn)
     if g.periodic:
@@ -181,10 +168,10 @@ def test_residual_against_independent_loops(topology, rng):
             utx = (u[k + 1, ip] - u[k + 1, im] - u[k - 1, ip]
                    + u[k - 1, im]) / (4 * dt * dx)
             hval, hp, hpp = (0.5 * ux * ux, ux, 1.0)
-            m = coupling.phi(-ut + hval - tau * Vn[i], tau)
-            c = eps + tau * m * coupling.f_prime(m) * m / m  # = eps + tau*m*f'
+            m = coupling.phi(-ut + hval - Vn[i])
+            c = eps + m * coupling.f_prime(m)
             expect = (-(utt - 2 * hp * utx + (hp * hp + c * hpp) * uxx)
-                      + tau * dVn[i] * hp + kappa)
+                      + dVn[i] * hp + kappa)
             # phi is solved iteratively to ~1e-12 relative, allow that slack
             assert abs(r.interior[k - 1, col] - expect) <= 1e-10
 
@@ -199,8 +186,7 @@ def test_residual_against_independent_loops(topology, rng):
             else:
                 ut = (3 * u[nt, i] - 4 * u[nt - 1, i] + u[nt - 2, i]) / (2 * dt)
             ux = (u[k, ip] - u[k, im]) / (2 * dx)
-            data = (tau * (coupling.f(md[i]) + Vn[i])
-                    + eps * math.log(md[i]))
+            data = coupling.f(md[i]) + Vn[i] + eps * math.log(md[i])
             expect = -ut + 0.5 * ux * ux + sgn * kappa - data
             assert abs(r.boundary[row, col] - expect) <= 1e-12
 
@@ -217,9 +203,9 @@ def test_residual_against_independent_loops(topology, rng):
 # Jacobian
 # ---------------------------------------------------------------------------
 
-def _flatten_residual(u, spec, tau):
+def _flatten_residual(u, spec):
     from mfplan.dual import _assemble
-    R, _ = _assemble(u, spec, tau, with_jacobian=False)
+    R, _ = _assemble(u, spec, with_jacobian=False)
     return R.ravel()
 
 
@@ -231,8 +217,8 @@ def test_residual_kappa_linearity(topology, rng):
     g = spec.grid
     u = _field(spec, rng.standard_normal((g.n_t + 1, g.n_xnodes)) * 0.1)
     c = 0.7
-    r1 = assemble_residual(u, spec, 0.9, 0.2)
-    r2 = assemble_residual(u, spec, 0.9, 0.2 + c)
+    r1 = assemble_residual(u, spec, 0.2)
+    r2 = assemble_residual(u, spec, 0.2 + c)
     assert np.max(np.abs(r2.interior - r1.interior - c)) <= 1e-13
     assert np.max(np.abs(r2.boundary[0] - r1.boundary[0] - c)) <= 1e-13
     assert np.max(np.abs(r2.boundary[1] - r1.boundary[1] + c)) <= 1e-13
@@ -249,14 +235,14 @@ def test_bordered_step_solves_gauge_system(topology, rng):
     m1 = np.exp(rng.standard_normal(6) * 0.3)
     spec = ProblemSpec(g, np.ones(6), m1, np.zeros(6), QUAD_H, CouplingSpec(epsilon=0.4))
     u = rng.standard_normal((g.n_t + 1, g.n_xnodes)) * 0.2
-    R, J = _assemble(u, spec, 1.0, 0.1, with_jacobian=True)
+    R, J = _assemble(u, spec, 0.1, with_jacobian=True)
     J = J.toarray()
     assert np.max(np.abs(J @ np.ones(J.shape[1]))) <= 1e-10 * np.max(np.abs(J))
     assert np.linalg.matrix_rank(J) == J.shape[0] - 1
     e, ell = _kappa_column(g).ravel(), _gauge_row(spec).ravel()
     bordered = np.block([[J, e[:, None]], [ell[None, :], np.zeros((1, 1))]])
     expect = np.linalg.solve(bordered, np.append(-R.ravel(), -ell @ u.ravel()))
-    step = _newton_step(np.append(u, 0.1), R.ravel(), spec, 1.0, e, ell)
+    step = _newton_step(np.append(u, 0.1), R.ravel(), spec, e, ell)
     assert np.max(np.abs(step - expect)) <= 1e-10 * np.max(np.abs(expect))
 
 
@@ -266,14 +252,13 @@ def test_jacobian_matches_fd(topology, rng):
     g = spec.grid
     shape = (g.n_t + 1, g.n_xnodes)
     u = rng.standard_normal(shape) * 0.2
-    tau = 1.0
-    J = assemble_jacobian(_field(spec, u), spec, tau)
+    J = assemble_jacobian(_field(spec, u), spec)
     for _ in range(5):
         v = rng.standard_normal(shape)
         v /= np.max(np.abs(v))
         h = 1e-6
-        rp = _flatten_residual(u + h * v, spec, tau)
-        rm = _flatten_residual(u - h * v, spec, tau)
+        rp = _flatten_residual(u + h * v, spec)
+        rm = _flatten_residual(u - h * v, spec)
         fd = (rp - rm) / (2 * h)
         jv = J @ v.ravel()
         assert np.max(np.abs(jv - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jv)))
@@ -312,8 +297,8 @@ def test_solve_log_contents(solves):
         # the delta -> 0 form of the a-priori bound delta |u_delta| <= rhs
         assert st["sup_bound_lhs"] == abs(st["kappa"])
         assert st["sup_bound_lhs"] <= st["sup_bound_rhs"]
-    # one stage per tau, ending at the target problem
-    assert [st["tau"] for st in log.stages] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    # 16 cells per axis is the coarsest level: one entry, on the target mesh
+    assert [(st["n_t"], st["n_x"]) for st in log.stages] == [(16, 16)]
 
 
 def test_solve_congestion_mass(solves):
@@ -348,3 +333,76 @@ def test_solve_bump_interval_against_primal():
         assert abs(float(np.sum(0.5 * (uT[1:] + uT[:-1]) * spec.m1) * g.dx)) <= 1e-12
     assert errs[1] < errs[0]
     assert 0.0 < kappas[1] < kappas[0]
+
+
+# ---------------------------------------------------------------------------
+# nested meshes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [make_congestion_spec(32), make_bump_spec(32)],
+                         ids=["interval", "torus"])
+def test_coarsen_keeps_mass_and_node_data(spec):
+    coarse, fine = dual._levels(spec)
+    assert fine is spec
+    g, gc = spec.grid, coarse.grid
+    assert (gc.n_t, gc.n_x, gc.topology) == (16, 16, g.topology)
+    for name in ("m0", "m1"):
+        cells, fine_cells = getattr(coarse, name), getattr(spec, name)
+        assert abs(float(np.sum(cells) * gc.dx) - 1.0) <= 1e-14
+        assert np.max(np.abs(cells - 0.5 * (fine_cells[0::2] + fine_cells[1::2]))) <= 1e-15
+    assert np.array_equal(coarse.V, 0.5 * (spec.V[0::2] + spec.V[1::2]))
+    for name in ("m0_nodes", "m1_nodes", "V_nodes"):
+        assert np.array_equal(getattr(coarse, name), getattr(spec, name)[::2])
+    # 16 cells per axis is the coarsest level
+    assert len(dual._levels(coarse)) == 1
+
+
+def test_prolong_reproduces_bilinear(rng):
+    a, b, c, d = rng.standard_normal(4)
+    # interval: u = a + b t + c x + d t x is bilinear on every coarse cell
+    fine = SpaceTimeGrid(1.0, -1.0, 2.0, 8, 12)
+    coarse = SpaceTimeGrid(1.0, -1.0, 2.0, 4, 6)
+
+    def bilinear(g):
+        t, x = np.meshgrid(g.t_nodes(), g.x_nodes(), indexing="ij")
+        return a + b * t + c * x + d * t * x
+
+    assert np.max(np.abs(dual._prolong(bilinear(coarse), False) - bilinear(fine))) <= 1e-13
+    # torus: (a + b t) p(x), p piecewise linear and periodic on the coarse nodes
+    fine = SpaceTimeGrid(1.0, 0.0, 2.0, 8, 12, "torus")
+    coarse = SpaceTimeGrid(1.0, 0.0, 2.0, 4, 6, "torus")
+    p = rng.standard_normal(coarse.n_xnodes)
+    uc = (a + b * coarse.t_nodes())[:, None] * p
+    pf = np.interp(fine.x_nodes(), coarse.x_nodes(), p, period=coarse.length)
+    expect = (a + b * fine.t_nodes())[:, None] * pf
+    assert np.max(np.abs(dual._prolong(uc, True) - expect)) <= 1e-13
+
+
+@pytest.mark.parametrize("spec", [
+    make_congestion_spec(32),
+    make_bump_spec(32),
+    make_bump_spec(32, topology="interval-neumann"),
+], ids=["congestion", "bump-torus", "bump-interval"])
+def test_nested_matches_single_level(spec, monkeypatch):
+    _, m, log = solve_dual(spec)
+    assert [(st["n_t"], st["n_x"]) for st in log.stages] == [(16, 16), (32, 32)]
+    # with the coarsest level at 32 cells the target mesh is solved from u = 0
+    monkeypatch.setattr(dual, "MIN_LEVEL_CELLS", 32)
+    _, m1, log1 = solve_dual(spec)
+    assert len(log1.stages) == 1
+    assert np.max(np.abs(m.values - m1.values)) <= 1e-9
+    assert abs(log.stages[-1]["kappa"] - log1.stages[-1]["kappa"]) <= 1e-9
+
+
+def test_odd_grid_single_level():
+    bump = make_bump_spec(32)
+    spec = ProblemSpec(SpaceTimeGrid(1.0, 0.0, 1.0, 9, 32, "torus"), bump.m0,
+                       bump.m1, bump.V, bump.hamiltonian, bump.coupling)
+    _, _, log = solve_dual(spec)
+    assert log.converged
+    assert [(st["n_t"], st["n_x"]) for st in log.stages] == [(9, 32)]
+
+
+def test_newton_failure_names_level():
+    with pytest.raises(DualSolveError, match="16x16 level"):
+        solve_dual(make_congestion_spec(32), ContinuationSchedule(max_newton_iters=1))
