@@ -20,7 +20,7 @@ from .config import ConfigError, RunConfig, load_config
 from .dual import DualSolveError, solve_dual
 from .grids import validate_problem
 from .hamiltonian import DegenerateHamiltonianError, KernelSolveError
-from .primal import solve_primal
+from .primal import PrimalSolveError, solve_primal
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -150,7 +150,7 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
     if cfg.method in ("primal", "both"):
         try:
             primal_state, primal_log = solve_primal(cfg.spec, cfg.primal)
-        except KernelSolveError as exc:
+        except (KernelSolveError, PrimalSolveError) as exc:
             print(f"primal solve failed: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
         log_payload["primal"] = {
@@ -172,11 +172,7 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
                 ValueError) as exc:
             print(f"dual solve failed: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
-        log_payload["dual"] = {
-            "stages": dual_log.stages,
-            "converged": dual_log.converged,
-            "final_residual": dual_log.final_residual,
-        }
+        log_payload["dual"] = {"stages": dual_log.stages}
 
     fields = {}
     if primal_state is not None:
@@ -212,7 +208,7 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
     except ValueError as exc:
         print(f"error: config key 'sweep': {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except KernelSolveError as exc:
+    except (KernelSolveError, PrimalSolveError) as exc:
         print(f"sweep member solve failed: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     lines = ["eps,error"]

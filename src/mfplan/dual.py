@@ -67,8 +67,6 @@ class DualResidual:
 @dataclass
 class DualLog:
     stages: list = field(default_factory=list)  # one per mesh level, coarsest first
-    converged: bool = False
-    final_residual: float = float("nan")
 
 
 def _require_smooth(spec: ProblemSpec):
@@ -260,19 +258,13 @@ def m_from_u(u: PotentialField, spec: ProblemSpec) -> DensityField:
     _require_smooth(spec)
     g = spec.grid
     uv = u.values
-    dt, dx = g.dt, g.dx
+    dt = g.dt
     ut = np.empty_like(uv)
     ut[1:-1] = (uv[2:] - uv[:-2]) / (2 * dt)
     ut[0] = (-3 * uv[0] + 4 * uv[1] - uv[2]) / (2 * dt)
     ut[-1] = (3 * uv[-1] - 4 * uv[-2] + uv[-3]) / (2 * dt)
-    if g.periodic:
-        ux_c = (np.roll(uv, -1, axis=1) - uv) / dx
-        ut_c = 0.5 * (ut + np.roll(ut, -1, axis=1))
-    else:
-        ux_c = (uv[:, 1:] - uv[:, :-1]) / dx
-        ut_c = 0.5 * (ut[:, 1:] + ut[:, :-1])
-    hval = h_eval(spec.hamiltonian, ux_c)[0]
-    m = spec.coupling.phi(-ut_c + hval - spec.V)
+    hval = h_eval(spec.hamiltonian, g.diff_x(uv))[0]
+    m = spec.coupling.phi(-g.avg_x(ut) + hval - spec.V)
     return DensityField(g, m)
 
 
@@ -396,6 +388,4 @@ def solve_dual(spec: ProblemSpec, sched: ContinuationSchedule | None = None):
         })
 
     u = PotentialField(spec.grid, u)
-    log.converged = True
-    log.final_residual = log.stages[-1]["residual"]
     return u, m_from_u(u, spec), log

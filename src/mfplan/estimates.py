@@ -40,14 +40,6 @@ class CheckResult:
 # discrete derivative helpers (cell-centered)
 # ---------------------------------------------------------------------------
 
-def du_cells(u: PotentialField, grid: SpaceTimeGrid) -> np.ndarray:
-    """Spatial derivative of u at (time-node, space-cell)."""
-    uv = u.values
-    if grid.periodic:
-        return (np.roll(uv, -1, axis=1) - uv) / grid.dx
-    return (uv[:, 1:] - uv[:, :-1]) / grid.dx
-
-
 def _dx_cells(values: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     """Centered x-derivative of a cell field (one-sided at interval edges)."""
     dx = grid.dx
@@ -67,12 +59,11 @@ def _div_hp(u: PotentialField, spec: ProblemSpec) -> np.ndarray:
     dx = g.dx
     if g.periodic:
         ux_f = (np.roll(uv, -1, axis=1) - np.roll(uv, 1, axis=1)) / (2 * dx)
-        hp_f = h_eval(spec.hamiltonian, ux_f)[1]
-        return (np.roll(hp_f, -1, axis=1) - hp_f) / dx
+        return g.diff_x(h_eval(spec.hamiltonian, ux_f)[1])
     hp_f = np.zeros_like(uv)  # no-flux: H_p vanishes on the lateral boundary
     ux_f = (uv[:, 2:] - uv[:, :-2]) / (2 * dx)
     hp_f[:, 1:-1] = h_eval(spec.hamiltonian, ux_f)[1]
-    return (hp_f[:, 1:] - hp_f[:, :-1]) / dx
+    return g.diff_x(hp_f)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +129,7 @@ def check_displacement_convexity(
     dm = _dx_cells(mv, g)[1:-1]
     dV = _dx_cells(spec.V, g)
     mi = mv[1:-1]
-    hpp = h_eval(spec.hamiltonian, du_cells(u, g)[1:-1])[2]
+    hpp = h_eval(spec.hamiltonian, g.diff_x(u.values)[1:-1])[2]
     feps_prime = spec.coupling.f_prime(mi) + spec.coupling.epsilon / mi
     term1 = (Pp(mi) * mi - P(mi) + P(mi)) * div_v**2  # P/d with d = 1
     term2 = Pp(mi) * feps_prime * hpp * dm * dm
@@ -237,7 +228,7 @@ def check_local_gradient_estimate(u: PotentialField, m: DensityField,
                            skipped=True, reason="requires f = 0")
     g = spec.grid
     theta, _ = _theta_constant(spec)
-    hval = h_eval(spec.hamiltonian, du_cells(u, g))[0]
+    hval = h_eval(spec.hamiltonian, g.diff_x(u.values))[0]
     profile = np.max(theta * hval + spec.coupling.epsilon * np.log(m.values),
                      axis=1)
     t = g.t_nodes()
@@ -263,13 +254,6 @@ def check_local_gradient_estimate(u: PotentialField, m: DensityField,
 # energy identity
 # ---------------------------------------------------------------------------
 
-def _u_at_cells(u: PotentialField, grid: SpaceTimeGrid) -> np.ndarray:
-    uv = u.values
-    if grid.periodic:
-        return 0.5 * (uv + np.roll(uv, -1, axis=1))
-    return 0.5 * (uv[:, 1:] + uv[:, :-1])
-
-
 def check_energy_identity(u: PotentialField, m: DensityField,
                           spec: ProblemSpec,
                           tol: float | None = None) -> CheckResult:
@@ -278,10 +262,10 @@ def check_energy_identity(u: PotentialField, m: DensityField,
     Space integrals over cells, time integral by the trapezoid rule.
     """
     g = spec.grid
-    u_c = _u_at_cells(u, g)
+    u_c = g.avg_x(u.values)
     mv = m.values
     lhs = float(np.sum(u_c[-1] * mv[-1]) * g.dx - np.sum(u_c[0] * mv[0]) * g.dx)
-    du = du_cells(u, g)
+    du = g.diff_x(u.values)
     hval, hp, _ = h_eval(spec.hamiltonian, du)
     density = -mv * (hp * du - hval) - (spec.coupling.f_eps(mv) + spec.V) * mv
     space = np.sum(density, axis=1) * g.dx
@@ -381,6 +365,23 @@ def _extended_quantile(s, F, edges, L):
     return np.interp(frac, F, edges) + k * L
 
 
+def _golden_section(cost, a: float, b: float, tol: float) -> float:
+    """Minimizer of a unimodal cost on [a, b], to within tol."""
+    r = 0.5 * (np.sqrt(5.0) - 1.0)
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = cost(c), cost(d)
+    while b - a > tol:
+        if fc < fd:  # the minimizer lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = cost(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = cost(d)
+    return 0.5 * (a + b)
+
+
 def _oracle_torus(m0, m1, grid: SpaceTimeGrid) -> np.ndarray:
     L = grid.length
     edges = grid.x_min + np.arange(grid.n_x + 1) * grid.dx
@@ -394,12 +395,7 @@ def _oracle_torus(m0, m1, grid: SpaceTimeGrid) -> np.ndarray:
         return float(np.mean(d * d))
 
     # circular transport: optimal rotation of the quantile pairing
-    # (the cost is convex in theta); scipy.optimize is imported here, since
-    # it is slow to import and only this oracle needs it
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(cost, bounds=(-1.0, 1.0), method="bounded",
-                          options={"xatol": 1e-13})
-    theta = float(res.x)
+    theta = _golden_section(cost, -1.0, 1.0, 1e-13)
 
     s_dense = _level_grid(grid.n_x, F0, F1 - theta)
     Q0 = _quantile(s_dense, F0, edges)

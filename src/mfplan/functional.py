@@ -48,13 +48,6 @@ def center_density(m_values: np.ndarray) -> np.ndarray:
     return 0.5 * (m_values[:-1] + m_values[1:])
 
 
-def center_momentum(w_values: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Average momentum from faces to cell centers: -> (n_t, n_x)."""
-    if grid.periodic:
-        return 0.5 * (w_values + np.roll(w_values, -1, axis=1))
-    return 0.5 * (w_values[:, :-1] + w_values[:, 1:])
-
-
 def integrand(m_c, w_c, spec: ProblemSpec) -> np.ndarray:
     """Per-(time-cell, space-cell) integrand of the objective."""
     eps = spec.coupling.epsilon
@@ -69,7 +62,7 @@ def functional_value(state: PrimalState, spec: ProblemSpec) -> float:
     if state.grid != spec.grid:
         raise ValueError("state grid does not match problem grid")
     m_c = center_density(state.m.values)
-    w_c = center_momentum(state.w.values, spec.grid)
+    w_c = spec.grid.avg_x(state.w.values)
     if np.any(m_c < 0.0):
         return math.inf
     vals = integrand(m_c, w_c, spec)
@@ -89,7 +82,7 @@ def continuity_residual(state: PrimalState, spec: ProblemSpec) -> np.ndarray:
     m[0] = spec.m0
     m[-1] = spec.m1
     dm = (m[1:] - m[:-1]) / g.dt
-    return dm - g.div_w(state.w.values)
+    return dm - g.diff_x(state.w.values)
 
 
 # ---------------------------------------------------------------------------

@@ -92,11 +92,19 @@ class SpaceTimeGrid:
     def x_nodes(self) -> np.ndarray:
         return self.x_faces()
 
-    def div_w(self, w_values: np.ndarray) -> np.ndarray:
-        """Discrete spatial divergence, (time-cell, space-cell)."""
+    # the two edge -> cell stencils along the last axis; on the torus the
+    # right edge of the last cell is edge 0
+    def diff_x(self, values: np.ndarray) -> np.ndarray:
+        """Difference quotient across each cell of edge values."""
         if self.periodic:
-            return (np.roll(w_values, -1, axis=-1) - w_values) / self.dx
-        return (w_values[..., 1:] - w_values[..., :-1]) / self.dx
+            return (np.roll(values, -1, axis=-1) - values) / self.dx
+        return (values[..., 1:] - values[..., :-1]) / self.dx
+
+    def avg_x(self, values: np.ndarray) -> np.ndarray:
+        """Mean of edge values over each cell."""
+        if self.periodic:
+            return 0.5 * (values + np.roll(values, -1, axis=-1))
+        return 0.5 * (values[..., :-1] + values[..., 1:])
 
 
 @dataclass(frozen=True)

@@ -58,59 +58,50 @@ class PrimalLog:
     reason: str = ""  # why the iteration stopped unconverged
 
 
+class PrimalSolveError(RuntimeError):
+    """The primal solver's linear algebra failed for this grid."""
+
+
+def _stencil(apply, n_edges: int, free) -> sp.csr_matrix:
+    """Matrix of an edge -> cell stencil acting on the free edge values."""
+    return sp.csr_matrix(apply(np.eye(n_edges)[free]).T)
+
+
 class _Operators:
-    """Sparse operators and cached factorizations for one grid."""
+    """Sparse operators and cached factorizations for one grid.
+
+    With the staggered unknowns ordered (interior densities, free momenta),
+    each time-major, the continuity operator is C = [D_t (x) I, -I (x) D_x]
+    and the cell averaging A = blockdiag(A_t (x) I, I (x) A_x), built from
+    the grid's 1-D difference and average stencils restricted to the free
+    nodes and faces.
+    """
 
     def __init__(self, grid: SpaceTimeGrid):
         self.grid = grid
         nt, nx = grid.n_t, grid.n_x
-        dt, dx = grid.dt, grid.dx
-        periodic = grid.periodic
+        # the time axis as an interval grid, whose dx is dt
+        time = SpaceTimeGrid(grid.T, 0.0, grid.T, nt, nt)
+        interior = slice(1, -1)
+        free = slice(None) if grid.periodic else interior  # no-flux faces
+        D_t, A_t = (_stencil(f, nt + 1, interior) for f in (time.diff_x, time.avg_x))
+        D_x, A_x = (_stencil(f, grid.n_faces, free) for f in (grid.diff_x, grid.avg_x))
+        I_t, I_x = sp.identity(nt), sp.identity(nx)
         self.nm = (nt - 1) * nx
-        self.nw = nt * nx if periodic else nt * (nx - 1)
-        n = self.nm + self.nw
 
-        def m_idx(k, i):  # k in 1..nt-1
-            return (k - 1) * nx + i
-
-        def w_idx(k, j):  # interval: j in 1..nx-1; torus: j in 0..nx-1
-            return self.nm + (k * nx + j if periodic else k * (nx - 1) + (j - 1))
-
-        rows, cols, vals = [], [], []
-        for k in range(nt):
-            for i in range(nx):
-                r = k * nx + i
-                if 1 <= k + 1 <= nt - 1:
-                    rows.append(r), cols.append(m_idx(k + 1, i)), vals.append(1.0 / dt)
-                if 1 <= k <= nt - 1:
-                    rows.append(r), cols.append(m_idx(k, i)), vals.append(-1.0 / dt)
-                # residual -= (w_right - w_left)/dx
-                jl, jr = i, (i + 1) % nx if periodic else i + 1
-                if periodic or 1 <= jl <= nx - 1:
-                    rows.append(r), cols.append(w_idx(k, jl)), vals.append(1.0 / dx)
-                if periodic or 1 <= jr <= nx - 1:
-                    rows.append(r), cols.append(w_idx(k, jr)), vals.append(-1.0 / dx)
-        self.C = sp.csr_matrix((vals, (rows, cols)), shape=(nt * nx, n))
-        self._cc_lu = splu(sp.csc_matrix(self.C @ self.C.T))
-
-        rows, cols, vals = [], [], []
-        # Mc(k,i) = (m^k_i + m^{k+1}_i)/2, variable part
-        for k in range(nt):
-            for i in range(nx):
-                r = k * nx + i
-                for kk in (k, k + 1):
-                    if 1 <= kk <= nt - 1:
-                        rows.append(r), cols.append(m_idx(kk, i)), vals.append(0.5)
-        # Wc(k,i) = (w at the two faces of cell i)/2
-        off = nt * nx
-        for k in range(nt):
-            for i in range(nx):
-                r = off + k * nx + i
-                jl, jr = i, (i + 1) % nx if periodic else i + 1
-                for j in (jl, jr):
-                    if periodic or 1 <= j <= nx - 1:
-                        rows.append(r), cols.append(w_idx(k, j)), vals.append(0.5)
-        self.A = sp.csr_matrix((vals, (rows, cols)), shape=(2 * nt * nx, n))
+        # format="csr": kron's block format would store the zeros of D_x, A_x
+        kron = functools.partial(sp.kron, format="csr")
+        self.C = sp.hstack([kron(D_t, I_x), -kron(I_t, D_x)], format="csr")
+        try:
+            self._cc_lu = splu(sp.csc_matrix(self.C @ self.C.T))
+        except RuntimeError as exc:
+            # 1^T C = 0: C C^T is singular and factors only while round-off
+            # leaves a nonzero pivot
+            raise PrimalSolveError(
+                f"continuity factorization C C^T is singular on the "
+                f"{nt}x{nx} grid ({exc})") from exc
+        self.A = sp.block_diag([kron(A_t, I_x), kron(I_t, A_x)], format="csr")
+        n = self.A.shape[1]
         self._graph_lu = splu(sp.csc_matrix(sp.eye(n) + self.A.T @ self.A))
 
     def data_vectors(self, spec: ProblemSpec):

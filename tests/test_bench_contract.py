@@ -1,0 +1,47 @@
+"""The names the benchmark wraps must exist in the program.
+
+bench/round.py wraps module-level names of mfplan from outside and drops
+the metrics of any name the program no longer has, which leaves a traced
+run without its per-layer metrics.  This test runs the wrapping in a fresh
+interpreter, as a benchmark round does, and fails on any absent name.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mfplan
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+from mfplan import cli, dual, primal
+import round as bench_round
+from spans import SpanRecorder
+
+top = [(cli, "load_config"), (cli, "validate_problem"),
+       (primal, "solve_primal"), (cli, "solve_primal"),
+       (dual, "solve_dual"), (cli, "solve_dual")]
+before = [getattr(owner, name, None) for owner, name in top]
+rec = SpanRecorder()
+bench_round.wrap_top_level(rec, {})
+absent = bench_round.wrap_layers(rec)
+print(json.dumps({
+    "missing": [name for (owner, name), f in zip(top, before) if f is None],
+    "unwrapped": [name for (owner, name), f in zip(top, before)
+                  if getattr(owner, name) is f],
+    "absent": absent,
+}))
+"""
+
+
+def test_benchmark_wraps_every_name():
+    src = str(Path(mfplan.__file__).resolve().parents[1])
+    path = [src, str(ROOT / "bench"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, cwd=ROOT,
+                         check=True, capture_output=True, text=True, timeout=120)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result == {"missing": [], "unwrapped": [], "absent": []}

@@ -20,6 +20,7 @@ from mfplan.cli import (
     run,
 )
 from mfplan.config import ConfigError, load_config, parse_config
+from mfplan.dual import ContinuationSchedule
 from mfplan.hamiltonian import KernelSolveError
 
 GIBBS_YAML = """\
@@ -72,7 +73,9 @@ def test_solve_writes_outputs(gibbs_cfg, tmp_path):
     header = (out / "fields.csv").read_text().splitlines()[0]
     assert header == "field,t_index,x_index,value"
     log = json.loads((out / "log.json").read_text())
-    assert log["primal"]["converged"] and log["dual"]["converged"]
+    assert log["primal"]["converged"]
+    assert log["dual"]["stages"][-1]["residual"] <= ContinuationSchedule().newton_tol
+    assert set(log["dual"]) == {"stages"}
     report = json.loads((out / "report.json").read_text())
     names = {c["name"] for c in report["checks"]}
     assert names == {"energy_identity", "duality_gap", "maximum_principle_ut"}
@@ -258,15 +261,47 @@ def test_non_finite_primal_residual_exit(gibbs_cfg, tmp_path, capsys, monkeypatc
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is the slowest import and only the torus oracle needs it
+def _python(*args, check=True):
+    """Run a fresh interpreter that imports this checkout's mfplan."""
     src = str(Path(mfplan.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, mfplan.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, *args], env=env, check=check,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is the slowest import; no path of the program needs it,
+    # the torus oracle included
+    code = (
+        "import sys, numpy as np, mfplan.cli\n"
+        "from mfplan.estimates import geodesic_oracle_1d\n"
+        "from mfplan.grids import SpaceTimeGrid\n"
+        "x = (np.arange(16) + 0.5) / 16\n"
+        "geodesic_oracle_1d(1.5 + np.cos(2 * np.pi * x), 1.5 + np.sin(2 * np.pi * x),\n"
+        "                   SpaceTimeGrid(1.0, 0.0, 1.0, 4, 16, 'torus'))\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    assert _python("-c", code).stdout.strip() == "False"
+
+
+def test_singular_continuity_factor_exit(tmp_path):
+    # 1^T C = 0, so C C^T is singular; on this grid no round-off pivot is
+    # left and the factorization fails: a named reason and exit 2, no traceback
+    cfg = tmp_path / "gibbs-8x5.yaml"
+    cfg.write_text(GIBBS_YAML.replace("n_t: 12", "n_t: 8").replace("n_x: 12", "n_x: 5"))
+    out = _python("-m", "mfplan.cli", "solve", "--config", str(cfg), "--method",
+                  "primal", "--out", str(tmp_path / "o"), check=False)
+    assert out.returncode == EXIT_NOT_CONVERGED
+    assert "continuity factorization" in out.stderr and "singular" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_singular_continuity_factor_sweep_exit(tmp_path, capsys):
+    cfg = tmp_path / "sweep-4x15.yaml"
+    cfg.write_text(SWEEP_YAML.replace("n_t: 16", "n_t: 4").replace("n_x: 16", "n_x: 15"))
+    assert run(str(cfg), "sweep", out=str(tmp_path / "o")) == EXIT_NOT_CONVERGED
+    assert "continuity factorization" in capsys.readouterr().err
 
 
 def test_readme_config_example_parses():

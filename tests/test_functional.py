@@ -8,7 +8,6 @@ from scipy.optimize import minimize_scalar
 from mfplan.functional import (
     PrimalState,
     center_density,
-    center_momentum,
     continuity_residual,
     functional_value,
     integrand,
@@ -91,13 +90,8 @@ def test_gibbs_rest_value_closed_form():
 
 
 def test_centering_shapes():
-    g = SpaceTimeGrid(1.0, 0.0, 1.0, 3, 5)
     m = np.arange(20.0).reshape(4, 5)
     assert center_density(m).shape == (3, 5)
-    w = np.zeros((3, 6))
-    assert center_momentum(w, g).shape == (3, 5)
-    gt = SpaceTimeGrid(1.0, 0.0, 1.0, 3, 5, "torus")
-    assert center_momentum(np.zeros((3, 5)), gt).shape == (3, 5)
 
 
 def test_continuity_residual_zero_cases():

@@ -33,6 +33,17 @@ def test_torus_counts():
     assert len(g.x_faces()) == 8
 
 
+def test_avg_x_shapes_and_values():
+    g = SpaceTimeGrid(1.0, 0.0, 1.0, 3, 5)
+    w = np.arange(18.0).reshape(3, 6)
+    assert g.avg_x(w).shape == (3, 5)
+    assert np.array_equal(g.avg_x(w)[0], [0.5, 1.5, 2.5, 3.5, 4.5])
+    gt = SpaceTimeGrid(1.0, 0.0, 1.0, 3, 5, "torus")
+    assert gt.avg_x(np.zeros((3, 5))).shape == (3, 5)
+    # the right edge of the last torus cell is edge 0
+    assert np.array_equal(gt.avg_x(np.arange(5.0)), [0.5, 1.5, 2.5, 3.5, 2.0])
+
+
 @pytest.mark.parametrize("n_t", [2, 5, 16])
 @pytest.mark.parametrize("n_x", [2, 7, 16])
 @pytest.mark.parametrize("topology", ["interval-neumann", "torus"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mfplan.functional import PrimalState, continuity_residual, functional_value
 from mfplan.grids import (
@@ -10,6 +11,7 @@ from mfplan.grids import (
     mass,
 )
 from mfplan.hamiltonian import CouplingSpec, HamiltonianSpec
+from mfplan import primal
 from mfplan.primal import (
     PrimalConfig,
     project_continuity,
@@ -57,6 +59,82 @@ def test_projection_feasible_and_idempotent(topology, rng):
     p2 = project_continuity(p, spec)
     assert np.max(np.abs(p2.m.values - p.m.values)) <= 1e-12
     assert np.max(np.abs(p2.w.values - p.w.values)) <= 1e-12
+
+
+def _reference_operators(grid):
+    """C and A assembled cell by cell, the construction _Operators replaced."""
+    nt, nx = grid.n_t, grid.n_x
+    dt, dx = grid.dt, grid.dx
+    periodic = grid.periodic
+    nm = (nt - 1) * nx
+    nw = nt * nx if periodic else nt * (nx - 1)
+
+    def m_idx(k, i):  # k in 1..nt-1
+        return (k - 1) * nx + i
+
+    def w_idx(k, j):  # interval: j in 1..nx-1; torus: j in 0..nx-1
+        return nm + (k * nx + j if periodic else k * (nx - 1) + (j - 1))
+
+    rows, cols, vals = [], [], []
+    for k in range(nt):
+        for i in range(nx):
+            r = k * nx + i
+            if 1 <= k + 1 <= nt - 1:
+                rows.append(r), cols.append(m_idx(k + 1, i)), vals.append(1.0 / dt)
+            if 1 <= k <= nt - 1:
+                rows.append(r), cols.append(m_idx(k, i)), vals.append(-1.0 / dt)
+            # residual -= (w_right - w_left)/dx
+            jl, jr = i, (i + 1) % nx if periodic else i + 1
+            if periodic or 1 <= jl <= nx - 1:
+                rows.append(r), cols.append(w_idx(k, jl)), vals.append(1.0 / dx)
+            if periodic or 1 <= jr <= nx - 1:
+                rows.append(r), cols.append(w_idx(k, jr)), vals.append(-1.0 / dx)
+    C = sp.csr_matrix((vals, (rows, cols)), shape=(nt * nx, nm + nw))
+
+    rows, cols, vals = [], [], []
+    # Mc(k,i) = (m^k_i + m^{k+1}_i)/2, variable part
+    for k in range(nt):
+        for i in range(nx):
+            for kk in (k, k + 1):
+                if 1 <= kk <= nt - 1:
+                    rows.append(k * nx + i), cols.append(m_idx(kk, i)), vals.append(0.5)
+    # Wc(k,i) = (w at the two faces of cell i)/2
+    for k in range(nt):
+        for i in range(nx):
+            jl, jr = i, (i + 1) % nx if periodic else i + 1
+            for j in (jl, jr):
+                if periodic or 1 <= j <= nx - 1:
+                    rows.append(nt * nx + k * nx + i), cols.append(w_idx(k, j))
+                    vals.append(0.5)
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(2 * nt * nx, nm + nw))
+    return C, A
+
+
+@pytest.mark.parametrize("n_t", [2, 3, 7, 16])
+@pytest.mark.parametrize("n_x", [2, 3, 5, 16])
+@pytest.mark.parametrize("topology,x_min,x_max", [
+    ("torus", 0.0, 1.0), ("interval-neumann", 0.0, 1.0),
+    ("interval-neumann", -2.0, 2.0)])
+def test_operators_match_reference(n_t, n_x, topology, x_min, x_max,
+                                   monkeypatch):
+    # splu is stubbed: C C^T is singular, and on some grids no round-off
+    # pivot is left to factor it
+    monkeypatch.setattr(primal, "splu", lambda a: None)
+    grid = SpaceTimeGrid(1.0, x_min, x_max, n_t, n_x, topology)
+    ops = primal._Operators(grid)
+    for got, want in zip((ops.C, ops.A), _reference_operators(grid)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.toarray(), want.toarray())
+        assert got.nnz == want.nnz  # no stored zeros
+
+
+def test_operators_factor_twice(monkeypatch):
+    calls = []
+    monkeypatch.setattr(primal, "splu", lambda a: calls.append(a.shape))
+    grid = SpaceTimeGrid(1.0, 0.0, 1.0, 4, 6, "interval-neumann")
+    ops = primal._Operators(grid)
+    n = ops.A.shape[1]
+    assert calls == [(4 * 6, 4 * 6), (n, n)]
 
 
 def test_projection_matches_dense_least_squares(rng):
