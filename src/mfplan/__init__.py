@@ -10,7 +10,7 @@ Two independent routes to the same optimum:
 plus numerical checks of the associated a-priori estimates (``estimates``)
 and a config-driven CLI (``cli``).
 """
-from .dual import ContinuationSchedule, assemble_jacobian, assemble_residual, m_from_u, solve_dual
+from .dual import DualConfig, assemble_jacobian, assemble_residual, m_from_u, solve_dual
 from .functional import PrimalState, continuity_residual, functional_value, prox_cell
 from .grids import (
     DensityField,
@@ -28,7 +28,7 @@ from .hamiltonian import (
     h_eval,
     legendre_L,
 )
-from .primal import PrimalConfig, project_continuity, solve_primal
+from .primal import PrimalConfig, solve_primal
 
 __all__ = [
     "SpaceTimeGrid", "DensityField", "MomentumField", "PotentialField",
@@ -36,8 +36,8 @@ __all__ = [
     "HamiltonianSpec", "CouplingSpec", "h_eval", "coercivity_constants",
     "legendre_L",
     "PrimalState", "functional_value", "continuity_residual", "prox_cell",
-    "PrimalConfig", "project_continuity", "solve_primal",
-    "ContinuationSchedule", "assemble_residual", "assemble_jacobian",
+    "PrimalConfig", "solve_primal",
+    "DualConfig", "assemble_residual", "assemble_jacobian",
     "m_from_u", "solve_dual",
 ]
 

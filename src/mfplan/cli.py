@@ -168,8 +168,7 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
     if cfg.method in ("dual", "both"):
         try:
             u, m_dual, dual_log = solve_dual(cfg.spec, cfg.dual)
-        except (DualSolveError, DegenerateHamiltonianError, KernelSolveError,
-                ValueError) as exc:
+        except (DualSolveError, DegenerateHamiltonianError, KernelSolveError) as exc:
             print(f"dual solve failed: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
         log_payload["dual"] = {"stages": dual_log.stages}

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .dual import ContinuationSchedule
+from .dual import DualConfig
 from .families import FamilyError, marginal_on_grid, potential_on_grid
 from .grids import INTERVAL, TORUS, ProblemSpec, SpaceTimeGrid
 from .hamiltonian import CouplingSpec, HamiltonianSpec
@@ -40,7 +40,7 @@ class RunConfig:
     spec: ProblemSpec
     method: str = "both"
     primal: PrimalConfig = dc_field(default_factory=PrimalConfig)
-    dual: ContinuationSchedule = dc_field(default_factory=ContinuationSchedule)
+    dual: DualConfig = dc_field(default_factory=DualConfig)
     checks: tuple[str, ...] = ()
     sweep_eps: tuple[float, ...] = ()
     output_dir: str = "out"
@@ -208,31 +208,23 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
         raise ConfigError("method", "must be primal, dual, or both")
 
     primal_block = dict(_take(raw, "<root>", "primal", {}))
-    try:
-        primal_cfg = PrimalConfig(
-            sigma=_number(_take(primal_block, "primal", "sigma", 1.0),
-                          "primal.sigma", minimum=0.0, strict=True),
-            theta=_number(_take(primal_block, "primal", "theta", 1.8),
-                          "primal.theta"),
-            tol_kkt=_number(_take(primal_block, "primal", "tol_kkt", 1e-6),
-                            "primal.tol_kkt", minimum=0.0, strict=True),
-            max_iters=_number(_take(primal_block, "primal", "max_iters", 50000),
-                              "primal.max_iters", integer=True, minimum=1),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("primal", str(exc)) from None
+    primal_cfg = PrimalConfig(
+        tol_kkt=_number(
+            _take(primal_block, "primal", "tol_kkt", PrimalConfig.tol_kkt),
+            "primal.tol_kkt", minimum=0.0, strict=True),
+        max_iters=_number(
+            _take(primal_block, "primal", "max_iters", PrimalConfig.max_iters),
+            "primal.max_iters", integer=True, minimum=1),
+    )
     _reject(primal_block, "primal")
 
     dual_block = dict(_take(raw, "<root>", "dual", {}))
-    dual_cfg = ContinuationSchedule(
-        newton_tol=_number(_take(dual_block, "dual", "newton_tol", 1e-10),
-                           "dual.newton_tol", minimum=0.0, strict=True),
-        step_tol=_number(_take(dual_block, "dual", "step_tol", 1e-13),
-                         "dual.step_tol", minimum=0.0, strict=True),
+    dual_cfg = DualConfig(
+        newton_tol=_number(
+            _take(dual_block, "dual", "newton_tol", DualConfig.newton_tol),
+            "dual.newton_tol", minimum=0.0, strict=True),
         max_newton_iters=_number(
-            _take(dual_block, "dual", "max_newton_iters", 50),
+            _take(dual_block, "dual", "max_newton_iters", DualConfig.max_newton_iters),
             "dual.max_newton_iters", integer=True, minimum=1),
     )
     _reject(dual_block, "dual")

@@ -44,16 +44,17 @@ from .hamiltonian import DegenerateHamiltonianError, h_eval, h_third
 
 
 MIN_LEVEL_CELLS = 16  # per axis, on the coarsest mesh of the nested solve
+STEP_TOL = 1e-13  # Newton stops once a damped step moves no entry by more
 
 
 class DualSolveError(RuntimeError):
-    """Damped Newton failed on one level of the nested solve."""
+    """The dual solver refused the instance, or damped Newton failed on one
+    level of the nested solve."""
 
 
 @dataclass(frozen=True)
-class ContinuationSchedule:
+class DualConfig:
     newton_tol: float = 1e-10
-    step_tol: float = 1e-13
     max_newton_iters: int = 50
 
 
@@ -75,7 +76,7 @@ def _require_smooth(spec: ProblemSpec):
             "degenerate H_pp (varpi=0, q!=2): use the primal solver"
         )
     if spec.coupling.epsilon <= 0.0:
-        raise ValueError("dual solver requires eps > 0")
+        raise DualSolveError("dual solver requires eps > 0")
 
 
 def _dv_nodes(spec: ProblemSpec) -> np.ndarray:
@@ -257,14 +258,8 @@ def m_from_u(u: PotentialField, spec: ProblemSpec) -> DensityField:
     """
     _require_smooth(spec)
     g = spec.grid
-    uv = u.values
-    dt = g.dt
-    ut = np.empty_like(uv)
-    ut[1:-1] = (uv[2:] - uv[:-2]) / (2 * dt)
-    ut[0] = (-3 * uv[0] + 4 * uv[1] - uv[2]) / (2 * dt)
-    ut[-1] = (3 * uv[-1] - 4 * uv[-2] + uv[-3]) / (2 * dt)
-    hval = h_eval(spec.hamiltonian, g.diff_x(uv))[0]
-    m = spec.coupling.phi(-g.avg_x(ut) + hval - spec.V)
+    hval = h_eval(spec.hamiltonian, g.diff_x(u.values))[0]
+    m = spec.coupling.phi(-g.avg_x(g.diff_t_nodes(u.values)) + hval - spec.V)
     return DensityField(g, m)
 
 
@@ -295,7 +290,7 @@ def _newton_step(z, R, spec, e, ell) -> np.ndarray:
     return step
 
 
-def _newton_stage(z, spec, sched: ContinuationSchedule):
+def _newton_stage(z, spec, cfg: DualConfig):
     """Damped Newton from z = (u, kappa) shifted into the gauge; returns
     (z, iters, residual), or raises DualSolveError naming the mesh."""
     g = spec.grid
@@ -309,7 +304,7 @@ def _newton_stage(z, spec, sched: ContinuationSchedule):
     R = residual(z)
     rnorm = float(np.max(np.abs(R)))
     it = 0
-    while rnorm > sched.newton_tol and it < sched.max_newton_iters:
+    while rnorm > cfg.newton_tol and it < cfg.max_newton_iters:
         step = _newton_step(z, R, spec, e, ell)
         t = 1.0
         for _ in range(30):
@@ -325,9 +320,9 @@ def _newton_stage(z, spec, sched: ContinuationSchedule):
             break
         z, R, rnorm = z_try, R_try, r_try
         it += 1
-        if t * float(np.max(np.abs(step))) <= sched.step_tol:
+        if t * float(np.max(np.abs(step))) <= STEP_TOL:
             break
-    if rnorm > sched.newton_tol:
+    if rnorm > cfg.newton_tol:
         raise DualSolveError(
             f"Newton stagnated on the {g.n_t}x{g.n_x} level; residual {rnorm:.3e}")
     return z, it, rnorm
@@ -359,22 +354,22 @@ def _prolong(u: np.ndarray, periodic: bool) -> np.ndarray:
     return u
 
 
-def solve_dual(spec: ProblemSpec, sched: ContinuationSchedule | None = None):
+def solve_dual(spec: ProblemSpec, cfg: DualConfig | None = None):
     """Nested-mesh damped Newton solve of the gauge-pinned potential system.
 
     Returns (u: PotentialField, m: DensityField, DualLog) with u in the gauge
-    sum u(T) m1 dx = 0 and m = m_from_u(u).  Raises DualSolveError naming
-    the mesh level on which Newton failed.
+    sum u(T) m1 dx = 0 and m = m_from_u(u).  Raises DualSolveError for
+    eps <= 0 or naming the mesh level on which Newton failed.
     """
     _require_smooth(spec)
-    sched = sched or ContinuationSchedule()
+    cfg = cfg or DualConfig()
     log = DualLog()
     u, kappa = None, 0.0
     for lvl in _levels(spec):
         g = lvl.grid
         u = np.zeros((g.n_t + 1, g.n_xnodes)) if u is None else _prolong(u, g.periodic)
         # kappa carries over from the coarser level
-        z, iters, resid = _newton_stage(np.append(u, kappa), lvl, sched)
+        z, iters, resid = _newton_stage(np.append(u, kappa), lvl, cfg)
         u, kappa = z[:-1].reshape(g.n_t + 1, -1), float(z[-1])
         log.stages.append({
             "n_t": g.n_t,

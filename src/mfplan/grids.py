@@ -106,6 +106,16 @@ class SpaceTimeGrid:
             return 0.5 * (values + np.roll(values, -1, axis=-1))
         return 0.5 * (values[..., :-1] + values[..., 1:])
 
+    def diff_t_nodes(self, values: np.ndarray) -> np.ndarray:
+        """Time derivative at the time nodes of node values (first axis):
+        centered inside, one-sided second order at t = 0 and t = T."""
+        h = 2 * self.dt
+        out = np.empty_like(values)
+        out[1:-1] = (values[2:] - values[:-2]) / h
+        out[0] = (-3 * values[0] + 4 * values[1] - values[2]) / h
+        out[-1] = (3 * values[-1] - 4 * values[-2] + values[-3]) / h
+        return out
+
 
 @dataclass(frozen=True)
 class DensityField:
@@ -154,15 +164,6 @@ def mass(density: DensityField, t_index: int) -> float:
     if not -values.shape[0] <= t_index < values.shape[0]:
         raise IndexError(f"t_index {t_index} out of range")
     return float(np.sum(values[t_index]) * density.grid.dx)
-
-
-def _lipschitz(values: np.ndarray, dx: float, periodic: bool) -> float:
-    """Max forward difference quotient of a per-cell sampled function."""
-    if periodic:
-        jumps = np.roll(values, -1) - values
-    else:
-        jumps = np.diff(values)
-    return float(np.max(np.abs(jumps)) / dx) if jumps.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ class ProblemSpec:
 
     @property
     def lipschitz_V(self) -> float:
-        return _lipschitz(self.V, self.grid.dx, self.grid.periodic)
+        return float(np.max(np.abs(self.grid.diff_x(self.V))))
 
 
 def _cells_to_nodes(cells: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
@@ -254,8 +255,8 @@ def validate_problem(spec: ProblemSpec) -> ValidationReport:
     if abs(mass0 - 1.0) > 1e-12 or abs(mass1 - 1.0) > 1e-12:
         reasons.append("mass")
     if min_density > 0.0:
-        lip0 = _lipschitz(np.log(spec.m0), g.dx, g.periodic)
-        lip1 = _lipschitz(np.log(spec.m1), g.dx, g.periodic)
+        lip0 = float(np.max(np.abs(g.diff_x(np.log(spec.m0)))))
+        lip1 = float(np.max(np.abs(g.diff_x(np.log(spec.m1)))))
     else:
         lip0 = lip1 = float("inf")
     return ValidationReport(

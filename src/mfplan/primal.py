@@ -10,14 +10,15 @@ Vc = (Mc, Wc):
 * G2(U, Vc) = indicator{Vc = A U + b}
   — projection onto the graph of the staggered-to-centered averaging A.
 
-The iteration keeps the output continuity-feasible at every step; the
-functional value is logged per iteration but convergence is declared on
-the fixed-point increment (the value is non-monotone under splitting).
+The step SIGMA and the over-relaxation THETA are fixed.  The iteration
+keeps the output continuity-feasible at every step and stops on the
+fixed-point increment; the functional value, non-monotone under splitting,
+is evaluated once, at the last prox output.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,18 +33,20 @@ from .grids import (
 )
 
 
+SIGMA = 1.0  # prox step
+THETA = 1.8  # over-relaxation, in [1, 2)
+
+
 @dataclass(frozen=True)
 class PrimalConfig:
-    sigma: float = 1.0
-    theta: float = 1.8
     tol_kkt: float = 1e-6
     max_iters: int = 50000
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.tol_kkt <= 0:
-            raise ValueError("sigma and tolerances must be positive")
-        if not 1.0 <= self.theta < 2.0:
-            raise ValueError("over-relaxation theta must lie in [1, 2)")
+        if self.tol_kkt <= 0:
+            raise ValueError("tol_kkt must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -53,8 +56,6 @@ class PrimalLog:
     final_value: float = float("nan")
     feasibility: float = float("nan")
     fp_residual: float = float("nan")
-    sigma_final: float = float("nan")
-    values: list = field(default_factory=list)
     reason: str = ""  # why the iteration stopped unconverged
 
 
@@ -177,12 +178,7 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     Vc = ops.A @ U + b
     sU, sV = U.copy(), Vc.copy()
 
-    log = PrimalLog(sigma_final=cfg.sigma)
-    best_fp = np.inf
-    halved = False
-    yU = U
-    sigma = cfg.sigma
-
+    log = PrimalLog()
     for it in range(1, cfg.max_iters + 1):
         yU = ops.project(sU, d)
         mbar = sV[: nt * nx].reshape(nt, nx)
@@ -190,7 +186,7 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
         # the uniform dt*dx weight does not move the minimizer, so the
         # iteration minimizes the unweighted cell sum (better-scaled prox)
         mY, wY = prox_block(
-            mbar, wbar, sigma, spec.V, spec.hamiltonian, spec.coupling,
+            mbar, wbar, SIGMA, spec.V, spec.hamiltonian, spec.coupling,
         )
         yV = np.concatenate([mY.ravel(), wY.ravel()])
 
@@ -198,15 +194,12 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
 
         dU = zU - yU
         dV = zV - yV
-        sU += cfg.theta * dU
-        sV += cfg.theta * dV
+        sU += THETA * dU
+        sV += THETA * dV
 
         scale = max(1.0, float(np.max(np.abs(yU))), float(np.max(np.abs(yV))))
         # np.maximum, unlike max(), propagates a NaN from either block
         fp = float(np.maximum(np.max(np.abs(dU)), np.max(np.abs(dV)))) / scale
-        log.values.append(
-            float(np.sum(integrand(mY, wY, spec)) * g.dt * g.dx)
-        )
         log.iters = it
         log.fp_residual = fp
         if fp <= cfg.tol_kkt:
@@ -215,12 +208,6 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
         if not np.isfinite(fp):
             log.reason = f"non-finite fixed-point residual at iteration {it}"
             break
-        # single documented stagnation heuristic: halve sigma once
-        if it % 2000 == 0:
-            if fp > 0.5 * best_fp and not halved:
-                sigma *= 0.5
-                halved = True
-            best_fp = min(best_fp, fp)
     else:
         log.reason = f"max_iters ({cfg.max_iters}) reached"
 
@@ -230,7 +217,6 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
         m = state.m.values.copy()
         np.clip(m, 1e-300, None, out=m)
         state = PrimalState(DensityField(g, m), state.w)
-    log.final_value = log.values[-1] if log.values else float("nan")
+    log.final_value = float(np.sum(integrand(mY, wY, spec)) * g.dt * g.dx)
     log.feasibility = float(np.max(np.abs(continuity_residual(state, spec))))
-    log.sigma_final = sigma
     return state, log

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mfplan.dual import ContinuationSchedule, solve_dual
+from mfplan.dual import DualConfig, solve_dual
 from mfplan.families import marginal_on_grid, potential_on_grid
 from mfplan.grids import ProblemSpec, SpaceTimeGrid
 from mfplan.hamiltonian import CouplingSpec, HamiltonianSpec
@@ -126,7 +126,7 @@ class SolveCache:
         key = (name, n)
         if key not in self._dual:
             self._dual[key] = solve_dual(self.spec(name, n),
-                                         ContinuationSchedule())
+                                         DualConfig())
         return self._dual[key]
 
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from mfplan.dual import ContinuationSchedule
+from mfplan.dual import DualConfig
 from mfplan.estimates import (
     check_displacement_convexity,
     check_energy_identity,
@@ -23,7 +23,7 @@ from mfplan.hamiltonian import CouplingSpec, HamiltonianSpec
 
 from conftest import make_bump_spec
 
-NEWTON_TOL = ContinuationSchedule().newton_tol
+NEWTON_TOL = DualConfig().newton_tol
 
 
 @pytest.fixture()

@@ -20,7 +20,7 @@ from mfplan.cli import (
     run,
 )
 from mfplan.config import ConfigError, load_config, parse_config
-from mfplan.dual import ContinuationSchedule
+from mfplan.dual import DualConfig
 from mfplan.hamiltonian import KernelSolveError
 
 GIBBS_YAML = """\
@@ -74,7 +74,7 @@ def test_solve_writes_outputs(gibbs_cfg, tmp_path):
     assert header == "field,t_index,x_index,value"
     log = json.loads((out / "log.json").read_text())
     assert log["primal"]["converged"]
-    assert log["dual"]["stages"][-1]["residual"] <= ContinuationSchedule().newton_tol
+    assert log["dual"]["stages"][-1]["residual"] <= DualConfig().newton_tol
     assert set(log["dual"]) == {"stages"}
     report = json.loads((out / "report.json").read_text())
     names = {c["name"] for c in report["checks"]}
@@ -244,6 +244,36 @@ def test_kernel_failure_exit(gibbs_cfg, tmp_path, capsys, monkeypatch,
     assert f"{method} solve failed" in capsys.readouterr().err
 
 
+ZERO_ENTROPY_YAML = """\
+grid: {t_horizon: 1.0, x_min: 0.0, x_max: 1.0, n_t: 4, n_x: 4}
+problem:
+  coupling: {epsilon: 0.0}
+  m0: {family: uniform}
+  m1: {family: uniform}
+"""
+
+
+def test_dual_zero_entropy_exit(tmp_path, capsys):
+    p = tmp_path / "zero_entropy.yaml"
+    p.write_text(ZERO_ENTROPY_YAML)
+    assert run(str(p), "solve", method="dual",
+               out=str(tmp_path / "o")) == EXIT_NOT_CONVERGED
+    assert "dual solve failed: dual solver requires eps > 0" in capsys.readouterr().err
+
+
+def _assembly_bug(*args, **kwargs):
+    raise ValueError("programming error in the assembly")
+
+
+def test_dual_programming_error_not_reported_as_solve_failure(
+        gibbs_cfg, tmp_path, capsys, monkeypatch):
+    # only typed solver failures map to exit 2; anything else propagates
+    monkeypatch.setattr("mfplan.dual._assemble", _assembly_bug)
+    with pytest.raises(ValueError, match="programming error"):
+        run(str(gibbs_cfg), "solve", method="dual", out=str(tmp_path / "o"))
+    assert "dual solve failed" not in capsys.readouterr().err
+
+
 def _nan_prox(mbar, wbar, *args):
     return np.full_like(mbar, np.nan), np.full_like(wbar, np.nan)
 
@@ -367,6 +397,9 @@ def test_parse_config_strictness():
     {"dual": {"delta_sequence": [1.0, 1e-8]}},
     {"dual": {"use_picard": True}},
     {"dual": {"tau_sequence": [0.0, 0.5, 1.0]}},
+    {"primal": {"sigma": 0.5}},
+    {"primal": {"theta": 1.5}},
+    {"dual": {"step_tol": 1e-12}},
 ])
 def test_keys_without_effect_rejected(extra):
     raw = {"grid": {"t_horizon": 1.0, "x_min": 0.0, "x_max": 1.0,
@@ -374,7 +407,7 @@ def test_keys_without_effect_rejected(extra):
            "problem": {"m0": {"family": "uniform"}, "m1": {"family": "uniform"}}}
     with pytest.raises(ConfigError,
                        match="seed|tol_mass|rho_sequence|delta_sequence|use_picard"
-                             "|tau_sequence"):
+                             "|tau_sequence|sigma|theta|step_tol"):
         parse_config({**raw, **extra})
 
 

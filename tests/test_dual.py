@@ -5,7 +5,7 @@ import pytest
 
 from mfplan import dual
 from mfplan.dual import (
-    ContinuationSchedule,
+    DualConfig,
     DualSolveError,
     assemble_jacobian,
     assemble_residual,
@@ -23,7 +23,7 @@ from mfplan.hamiltonian import (
 
 from conftest import make_bump_spec, make_congestion_spec, make_gibbs_spec
 
-NEWTON_TOL = ContinuationSchedule().newton_tol
+NEWTON_TOL = DualConfig().newton_tol
 
 QUAD_H = HamiltonianSpec()
 
@@ -51,7 +51,7 @@ def test_refuses_zero_entropy():
     spec = _uniform_spec(eps=0.5)
     bad = ProblemSpec(spec.grid, spec.m0, spec.m1, spec.V, QUAD_H,
                       CouplingSpec(epsilon=0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(DualSolveError, match="eps > 0"):
         solve_dual(bad)
 
 
@@ -407,4 +407,4 @@ def test_odd_grid_single_level():
 
 def test_newton_failure_names_level():
     with pytest.raises(DualSolveError, match="16x16 level"):
-        solve_dual(make_congestion_spec(32), ContinuationSchedule(max_newton_iters=1))
+        solve_dual(make_congestion_spec(32), DualConfig(max_newton_iters=1))

@@ -44,6 +44,15 @@ def test_avg_x_shapes_and_values():
     assert np.array_equal(gt.avg_x(np.arange(5.0)), [0.5, 1.5, 2.5, 3.5, 2.0])
 
 
+@pytest.mark.parametrize("n_t", [2, 3, 8])
+def test_diff_t_nodes_exact_on_quadratics(n_t):
+    # every row is a second-order stencil, so t^2 differentiates exactly
+    g = SpaceTimeGrid(2.0, 0.0, 1.0, n_t, 4)
+    t = g.t_nodes()[:, None] * np.ones(5)
+    assert g.diff_t_nodes(t * t).shape == (n_t + 1, 5)
+    assert np.allclose(g.diff_t_nodes(t * t), 2.0 * t, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("n_t", [2, 5, 16])
 @pytest.mark.parametrize("n_x", [2, 7, 16])
 @pytest.mark.parametrize("topology", ["interval-neumann", "torus"])

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mfplan.functional import PrimalState, continuity_residual, functional_value
+from mfplan.functional import (
+    PrimalState,
+    continuity_residual,
+    functional_value,
+    integrand,
+)
 from mfplan.grids import (
     DensityField,
     MomentumField,
@@ -18,7 +23,7 @@ from mfplan.primal import (
     solve_primal,
 )
 
-from conftest import build_spec, gaussian_with_floor
+from conftest import build_spec, gaussian_with_floor, make_gibbs_spec
 
 QUAD_H = HamiltonianSpec()
 
@@ -35,13 +40,11 @@ def _uniform_spec(n_t=4, n_x=8, topology="interval-neumann", eps=0.5):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PrimalConfig(sigma=0.0)
+        PrimalConfig(tol_kkt=0.0)
     with pytest.raises(ValueError):
-        PrimalConfig(theta=2.0)
-    with pytest.raises(ValueError):
-        PrimalConfig(theta=0.5)
-    assert PrimalConfig().sigma == 1.0
-    assert PrimalConfig().theta == 1.8
+        PrimalConfig(max_iters=0)
+    assert primal.SIGMA == 1.0
+    assert 1.0 <= primal.THETA < 2.0
     assert PrimalConfig().tol_kkt == 1e-6
     assert PrimalConfig().max_iters == 50000
 
@@ -283,6 +286,21 @@ def test_torus_translation_covariance(solves):
 def test_log_contents(solves):
     _, log = solves.primal("gibbs", 16)
     assert log.iters >= 1
-    assert len(log.values) == log.iters
     assert np.isfinite(log.final_value)
     assert log.fp_residual <= 1e-8
+
+
+def test_value_evaluated_once(monkeypatch):
+    # J is evaluated once, at the last prox output, not per iteration
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return integrand(*args)
+
+    monkeypatch.setattr(primal, "integrand", counted)
+    spec = make_gibbs_spec(16)
+    state, log = solve_primal(spec, PrimalConfig(tol_kkt=1e-8))
+    assert log.converged and log.iters > 1
+    assert len(calls) == 1
+    assert log.final_value == pytest.approx(functional_value(state, spec), rel=1e-6)
