@@ -204,8 +204,8 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
         return EXIT_CONFIG
     try:
         sweep = estimates.eps_sweep(cfg.spec, cfg.sweep_eps, cfg.primal)
-    except ValueError as exc:
-        print(f"error: config key 'sweep': {exc}", file=sys.stderr)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (KernelSolveError, PrimalSolveError) as exc:
         print(f"sweep member solve failed: {exc}", file=sys.stderr)

@@ -26,20 +26,24 @@ iteration (Briggs, Henson & McCormick, A Multigrid Tutorial, SIAM 2000):
 from u = 0 on the coarsest mesh, then from the bilinear interpolant of
 each level's solution on the mesh with twice the cells.
 
-Interior derivatives are centered; u_t in the time-boundary rows and the
-lateral Neumann rows use one-sided second-order differences.  The Jacobian
-is the exact linearization, including the dependence of m f'(m) + eps on
-the derivatives of u through the inverse coupling.
+The first derivatives are the grid's node stencils diff_t_nodes and
+diff_x_nodes (one-sided second order at t in {0, T} and on the lateral
+Neumann rows), u_tx is their composition, and u_tt, u_xx are centered
+second differences.  The Jacobian is the exact linearization
+sum_k diag(c_k) S_k over D_t (x) I, I (x) D_x, D_tt (x) I, I (x) D_xx and
+D_t (x) D_x, built once per mesh from the same stencils, and keeps 9, 5 and
+3 entries per interior, time-boundary and lateral row.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .grids import DensityField, PotentialField, ProblemSpec
+from .grids import DensityField, PotentialField, ProblemSpec, stencil_matrix
 from .hamiltonian import DegenerateHamiltonianError, h_eval, h_third
 
 
@@ -79,17 +83,6 @@ def _require_smooth(spec: ProblemSpec):
         raise DualSolveError("dual solver requires eps > 0")
 
 
-def _dv_nodes(spec: ProblemSpec) -> np.ndarray:
-    """Centered DV at nodes (only interior space entries are consumed)."""
-    g = spec.grid
-    Vn = spec.V_nodes
-    if g.periodic:
-        return (np.roll(Vn, -1) - np.roll(Vn, 1)) / (2.0 * g.dx)
-    dv = np.zeros_like(Vn)
-    dv[1:-1] = (Vn[2:] - Vn[:-2]) / (2.0 * g.dx)
-    return dv
-
-
 def _kappa_column(g) -> np.ndarray:
     """dR/dkappa: +1 on the interior and t = 0 rows, -1 on the t = T rows."""
     e = np.ones((g.n_t + 1, g.n_xnodes))
@@ -112,115 +105,88 @@ def _gauge_row(spec: ProblemSpec) -> np.ndarray:
     return ell
 
 
+def _inner(g) -> slice:
+    """The space nodes of the interior and time-boundary rows."""
+    return slice(None) if g.periodic else slice(1, -1)
+
+
+def _diff2(v: np.ndarray, h: float, periodic: bool) -> np.ndarray:
+    """Centered second difference at the nodes along the last axis: wrapped
+    on a circle, zero at the ends of an interval."""
+    out = (np.roll(v, -1, axis=-1) - 2 * v + np.roll(v, 1, axis=-1)) / h**2
+    if not periodic:
+        out[..., [0, -1]] = 0.0
+    return out
+
+
+def _coefficients(g, interior, hp_boundary) -> np.ndarray:
+    """The five node fields c_k of J = sum_k diag(c_k) S_k: a_t, a_x, a_tt,
+    a_xx, a_tx on the interior rows, c_t = -1 and c_x = H_p on the
+    time-boundary rows, c_x = 1 on the lateral rows, zero elsewhere."""
+    inner = _inner(g)
+    c = np.zeros((5, g.n_t + 1, g.n_xnodes))
+    for ck, a in zip(c, interior):
+        ck[1:-1, inner] = a
+    c[0, [0, -1], inner] = -1.0
+    c[1, [0, -1], inner] = hp_boundary
+    if not g.periodic:
+        c[1][:, [0, -1]] = 1.0
+    return c
+
+
+@functools.lru_cache(maxsize=1)
+def _stencils(g) -> tuple[np.ndarray, ...]:
+    """The entries of S = [S_t; S_x; S_tt; S_xx; S_tx] as (row in S, column,
+    value), each S_k kept on the rows where c_k lives: a full-grid operator
+    also reaches rows whose coefficient is always zero, and storing those
+    entries would widen the pattern and the LU fill."""
+    nt1, nn = g.n_t + 1, g.n_xnodes
+    D_t, D_tt = (stencil_matrix(f, nt1) for f in (
+        lambda v: g.diff_t_nodes(v.T).T, lambda v: _diff2(v, g.dt, False)))
+    D_x, D_xx = (stencil_matrix(f, nn) for f in (
+        g.diff_x_nodes, lambda v: _diff2(v, g.dx, g.periodic)))
+    I_t, I_x = sp.identity(nt1), sp.identity(nn)
+    S = sp.vstack([sp.kron(a, b, format="coo") for a, b in (
+        (D_t, I_x), (I_t, D_x), (D_tt, I_x), (I_t, D_xx), (D_t, D_x))], format="coo")
+    on = _coefficients(g, [1.0] * 5, 1.0).ravel()[S.row] != 0.0
+    return S.row[on], S.col[on], S.data[on]
+
+
 def _assemble(u: np.ndarray, spec: ProblemSpec, kappa: float = 0.0,
               *, with_jacobian: bool):
     """Node-indexed residual and optionally the sparse Jacobian in u."""
     g = spec.grid
-    nt, nn = g.n_t, g.n_xnodes
-    dt, dx = g.dt, g.dx
     H, C = spec.hamiltonian, spec.coupling
-    eps = C.epsilon
-    periodic = g.periodic
-    Vn = spec.V_nodes
-    dVn = _dv_nodes(spec)
+    inner, ends = _inner(g), [0, -1]
+    u_t, u_x = g.diff_t_nodes(u), g.diff_x_nodes(u)
+    u_tt, u_xx = _diff2(u.T, g.dt, False).T, _diff2(u, g.dx, g.periodic)
+    ut, ux, utt, uxx, utx = (d[1:-1, inner] for d in (
+        u_t, u_x, u_tt, u_xx, g.diff_t_nodes(u_x)))
+    Vn, dv = spec.V_nodes[inner], g.diff_x_nodes(spec.V_nodes)[inner]
 
-    R = np.zeros((nt + 1, nn))
-    rows, cols, vals = [], [], []
-
-    def add(row, kk, ii, coeff):
-        """Jacobian entries coeff of the rows row at the nodes (kk, ii)."""
-        col = kk * nn + ii
-        rows.append(row)
-        cols.append(col.ravel())
-        vals.append(np.broadcast_to(coeff, col.shape).ravel())
-
-    # ----- interior rows: k = 1..nt-1, space-interior i -----
-    ks = np.arange(1, nt)
-    if periodic:
-        isp = np.arange(nn)
-        ip1, im1 = (isp + 1) % nn, (isp - 1) % nn
-    else:
-        isp = np.arange(1, nn - 1)
-        ip1, im1 = isp + 1, isp - 1
-    K, I = np.meshgrid(ks, isp, indexing="ij")
-    IP, IM = np.meshgrid(ks, ip1, indexing="ij")[1], np.meshgrid(ks, im1, indexing="ij")[1]
-
-    u_t = (u[K + 1, I] - u[K - 1, I]) / (2 * dt)
-    u_x = (u[K, IP] - u[K, IM]) / (2 * dx)
-    u_tt = (u[K + 1, I] - 2 * u[K, I] + u[K - 1, I]) / dt**2
-    u_xx = (u[K, IP] - 2 * u[K, I] + u[K, IM]) / dx**2
-    u_tx = (u[K + 1, IP] - u[K + 1, IM] - u[K - 1, IP] + u[K - 1, IM]) / (4 * dt * dx)
-
-    hval, hp, hpp = h_eval(H, u_x)
-    m = C.phi(-u_t + hval - Vn[I])
+    hval, hp, hpp = h_eval(H, ux)
+    m = C.phi(-ut + hval - Vn)
     fp = C.f_prime(m)
-    cterm = eps + m * fp
-    dv = dVn[I]
-
-    R[K, I] = (
-        -(u_tt - 2 * hp * u_tx + (hp * hp + cterm * hpp) * u_xx)
-        + dv * hp
-    )
-
-    if with_jacobian:
-        hppp = h_third(H, u_x)
-        phi_p = m / cterm
-        gprime = fp + m * C.f_second(m)  # d(m f'(m))/dm
-        chain = hpp * u_xx * gprime * phi_p
-        a_tt = -1.0
-        a_tx = 2.0 * hp
-        a_xx = -(hp * hp + cterm * hpp)
-        a_t = chain
-        a_x = (
-            2.0 * hpp * u_tx
-            - (2.0 * hp * hpp + cterm * hppp) * u_xx
-            + dv * hpp
-            - chain * hp
-        )
-
-        row = (K * nn + I).ravel()
-        add(row, K, I, (-2.0) * a_tt / dt**2 + (-2.0) * a_xx / dx**2)
-        add(row, K + 1, I, a_tt / dt**2 + a_t / (2 * dt))
-        add(row, K - 1, I, a_tt / dt**2 - a_t / (2 * dt))
-        add(row, K, IP, a_xx / dx**2 + a_x / (2 * dx))
-        add(row, K, IM, a_xx / dx**2 - a_x / (2 * dx))
-        add(row, K + 1, IP, a_tx / (4 * dt * dx))
-        add(row, K - 1, IM, a_tx / (4 * dt * dx))
-        add(row, K + 1, IM, -a_tx / (4 * dt * dx))
-        add(row, K - 1, IP, -a_tx / (4 * dt * dx))
-
-    # ----- time-boundary rows: k in {0, nt}, space-interior i -----
-    # -u_t is the one-sided second-order difference into the domain (s = +-1)
-    for k, s, m_data in ((0, 1, spec.m0_nodes), (nt, -1, spec.m1_nodes)):
-        minus_ut = s * (3 * u[k, isp] - 4 * u[k + s, isp] + u[k + 2 * s, isp]) / (2 * dt)
-        hb, hpb, _ = h_eval(H, (u[k, ip1] - u[k, im1]) / (2 * dx))
-        data = C.f_eps(m_data[isp]) + Vn[isp]
-        R[k, isp] = minus_ut + hb - data
-        if with_jacobian:
-            row = k * nn + isp
-            add(row, k, isp, 3 * s / (2 * dt))
-            add(row, k + s, isp, -2 * s / dt)
-            add(row, k + 2 * s, isp, s / (2 * dt))
-            add(row, k, ip1, hpb / (2 * dx))
-            add(row, k, im1, -hpb / (2 * dx))
-
-    # ----- lateral Neumann rows (interval): all k, i in {0, nn-1} -----
-    if not periodic:
-        kk = np.arange(nt + 1)
-        for i0, s in ((0, 1), (nn - 1, -1)):
-            R[kk, i0] = -s * (3 * u[kk, i0] - 4 * u[kk, i0 + s] + u[kk, i0 + 2 * s]) / (2 * dx)
-            if with_jacobian:
-                for off, c in ((0, -3), (1, 4), (2, -1)):
-                    add(kk * nn + i0, kk, i0 + off * s, c * s / (2 * dx))
-
+    cterm = C.epsilon + m * fp
+    R = np.zeros_like(u)
+    R[1:-1, inner] = -(utt - 2 * hp * utx + (hp * hp + cterm * hpp) * uxx) + dv * hp
+    # time-boundary rows: -u_t + H(u_x) = f(m) + V + eps log m at the data
+    hb, hpb, _ = h_eval(H, u_x[ends, inner])
+    data = C.f_eps(np.stack([spec.m0_nodes, spec.m1_nodes])[:, inner]) + Vn
+    R[ends, inner] = -u_t[ends, inner] + hb - data
+    if not g.periodic:
+        R[:, ends] = u_x[:, ends]  # lateral Neumann rows
     R += kappa * _kappa_column(g)
-    J = None
-    if with_jacobian:
-        n = (nt + 1) * nn
-        J = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
+    if not with_jacobian:
+        return R, None
+
+    # m f'(m) + eps depends on u_t and u_x through m = phi(-u_t + H(u_x) - V)
+    a_t = hpp * uxx * (fp + m * C.f_second(m)) * (m / cterm)
+    a_x = (2.0 * hpp * utx - (2.0 * hp * hpp + cterm * h_third(H, ux)) * uxx
+           + dv * hpp - a_t * hp)
+    c = _coefficients(g, (a_t, a_x, -1.0, -(hp * hp + cterm * hpp), 2.0 * hp), hpb)
+    srow, cols, vals = _stencils(g)  # the row in S also picks c_k at that row
+    J = sp.csc_matrix((c.ravel()[srow] * vals, (srow % u.size, cols)), shape=(u.size,) * 2)
     return R, J
 
 
@@ -229,17 +195,10 @@ def assemble_residual(u: PotentialField, spec: ProblemSpec,
     """PDE rows of the potential system at (u, kappa), split by row type."""
     _require_smooth(spec)
     R, _ = _assemble(u.values, spec, kappa, with_jacobian=False)
-    g = spec.grid
-    nt, nn = g.n_t, g.n_xnodes
-    if g.periodic:
-        interior = R[1:nt, :]
-        boundary = np.stack([R[0, :], R[nt, :]])
-        lateral = None
-    else:
-        interior = R[1:nt, 1 : nn - 1]
-        boundary = np.stack([R[0, 1 : nn - 1], R[nt, 1 : nn - 1]])
-        lateral = np.stack([R[:, 0], R[:, nn - 1]])
-    return DualResidual(interior=interior, boundary=boundary, lateral=lateral)
+    inner = _inner(spec.grid)
+    lateral = None if spec.grid.periodic else R[:, [0, -1]].T
+    return DualResidual(interior=R[1:-1, inner], boundary=R[[0, -1], inner],
+                        lateral=lateral)
 
 
 def assemble_jacobian(u: PotentialField, spec: ProblemSpec) -> sp.csc_matrix:

@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
 from .functional import PrimalState, functional_value
-from .grids import DensityField, MomentumField, PotentialField, ProblemSpec, SpaceTimeGrid
+from .grids import (DensityField, MomentumField, PotentialField, ProblemSpec,
+                    SpaceTimeGrid, cells_to_nodes)
 from .hamiltonian import QUADRATIC, h_eval
 
 
@@ -42,28 +44,20 @@ class CheckResult:
 
 def _dx_cells(values: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     """Centered x-derivative of a cell field (one-sided at interval edges)."""
-    dx = grid.dx
-    if grid.periodic:
-        return (np.roll(values, -1, axis=-1) - np.roll(values, 1, axis=-1)) / (2 * dx)
-    out = np.empty_like(values)
-    out[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2 * dx)
-    out[..., 0] = (values[..., 1] - values[..., 0]) / dx
-    out[..., -1] = (values[..., -1] - values[..., -2]) / dx
+    out = grid.diff_x_nodes(values)  # cell centers are spaced like the nodes
+    if not grid.periodic:  # first order at the edges
+        out[..., 0] = (values[..., 1] - values[..., 0]) / grid.dx
+        out[..., -1] = (values[..., -1] - values[..., -2]) / grid.dx
     return out
 
 
-def _div_hp(u: PotentialField, spec: ProblemSpec) -> np.ndarray:
-    """div H_p(Du) at (time-node, space-cell) from face velocities."""
+def _hp_nodes(u_values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """H_p(D_x u) at the space nodes; zero on the lateral boundary (no flux)."""
     g = spec.grid
-    uv = u.values
-    dx = g.dx
-    if g.periodic:
-        ux_f = (np.roll(uv, -1, axis=1) - np.roll(uv, 1, axis=1)) / (2 * dx)
-        return g.diff_x(h_eval(spec.hamiltonian, ux_f)[1])
-    hp_f = np.zeros_like(uv)  # no-flux: H_p vanishes on the lateral boundary
-    ux_f = (uv[:, 2:] - uv[:, :-2]) / (2 * dx)
-    hp_f[:, 1:-1] = h_eval(spec.hamiltonian, ux_f)[1]
-    return g.diff_x(hp_f)
+    hp = h_eval(spec.hamiltonian, g.diff_x_nodes(u_values))[1]
+    if not g.periodic:
+        hp[..., [0, -1]] = 0.0
+    return hp
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +118,7 @@ def check_displacement_convexity(
     energy = np.sum(U(mv), axis=1) * g.dx
     lhs = (energy[2:] - 2 * energy[1:-1] + energy[:-2]) / g.dt**2
 
-    div_v = _div_hp(u, spec)[1:-1]
+    div_v = g.diff_x(_hp_nodes(u.values, spec))[1:-1]  # div H_p(Du) at the cells
     dm = _dx_cells(mv, g)[1:-1]
     dV = _dx_cells(spec.V, g)
     mi = mv[1:-1]
@@ -452,7 +446,8 @@ def eps_sweep(spec: ProblemSpec, eps_list, cfg=None) -> SweepReport:
     from .primal import PrimalConfig, solve_primal
 
     if spec.coupling.f_family != "zero":
-        raise ValueError("eps sweep requires the zero coupling family")
+        raise ConfigError("problem.coupling.f_family",
+                          "the eps sweep requires the zero coupling family")
     g = spec.grid
     oracle = geodesic_oracle_1d(spec.m0, spec.m1, g)
     errors, converged = [], []
@@ -480,18 +475,9 @@ def dual_as_primal_state(u: PotentialField, m: DensityField,
                          spec: ProblemSpec) -> PrimalState:
     """Rebuild (m, w = m H_p(Du)) on the staggered grid from the dual fields."""
     g = spec.grid
-    uv = u.values
-    u_tc = 0.5 * (uv[:-1] + uv[1:])  # (n_t, n_nodes)
+    u_tc = 0.5 * (u.values[:-1] + u.values[1:])  # (n_t, n_nodes)
     m_tc = 0.5 * (m.values[:-1] + m.values[1:])  # (n_t, n_x) at cells
-    if g.periodic:
-        ux_f = (np.roll(u_tc, -1, axis=1) - np.roll(u_tc, 1, axis=1)) / (2 * g.dx)
-        m_f = 0.5 * (m_tc + np.roll(m_tc, 1, axis=1))
-        w = m_f * h_eval(spec.hamiltonian, ux_f)[1]
-    else:
-        w = np.zeros((g.n_t, g.n_x + 1))
-        ux_f = (u_tc[:, 2:] - u_tc[:, :-2]) / (2 * g.dx)
-        m_f = 0.5 * (m_tc[:, 1:] + m_tc[:, :-1])
-        w[:, 1:-1] = m_f * h_eval(spec.hamiltonian, ux_f)[1]
+    w = cells_to_nodes(m_tc, g) * _hp_nodes(u_tc, spec)
     return PrimalState(m, MomentumField(g, w))
 
 

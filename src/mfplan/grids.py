@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
 
 if TYPE_CHECKING:
     from .hamiltonian import CouplingSpec, HamiltonianSpec
@@ -106,15 +107,30 @@ class SpaceTimeGrid:
             return 0.5 * (values + np.roll(values, -1, axis=-1))
         return 0.5 * (values[..., :-1] + values[..., 1:])
 
+    # the two node -> node first derivatives: centered inside, wrapped on the
+    # torus and one-sided second order at the ends of an interval
     def diff_t_nodes(self, values: np.ndarray) -> np.ndarray:
-        """Time derivative at the time nodes of node values (first axis):
-        centered inside, one-sided second order at t = 0 and t = T."""
-        h = 2 * self.dt
-        out = np.empty_like(values)
-        out[1:-1] = (values[2:] - values[:-2]) / h
-        out[0] = (-3 * values[0] + 4 * values[1] - values[2]) / h
-        out[-1] = (3 * values[-1] - 4 * values[-2] + values[-3]) / h
-        return out
+        """Time derivative at the time nodes of node values (first axis)."""
+        return _diff_nodes(values.T, self.dt, False).T
+
+    def diff_x_nodes(self, values: np.ndarray) -> np.ndarray:
+        """Space derivative at the space nodes of node values (last axis); at
+        the ends of an interval these are the lateral Neumann rows."""
+        return _diff_nodes(values, self.dx, self.periodic)
+
+
+def _diff_nodes(v: np.ndarray, h: float, periodic: bool) -> np.ndarray:
+    out = np.roll(v, -1, axis=-1) - np.roll(v, 1, axis=-1)
+    if not periodic:
+        out[..., 0] = -3 * v[..., 0] + 4 * v[..., 1] - v[..., 2]
+        out[..., -1] = 3 * v[..., -1] - 4 * v[..., -2] + v[..., -3]
+    return out / (2 * h)
+
+
+def stencil_matrix(apply, n: int, free=slice(None)) -> sp.csr_matrix:
+    """Matrix of a linear stencil along the last axis, acting on the values
+    at the points free of n."""
+    return sp.csr_matrix(apply(np.eye(n)[free]).T)
 
 
 @dataclass(frozen=True)
@@ -209,7 +225,7 @@ class ProblemSpec:
         for name in ("m0_nodes", "m1_nodes", "V_nodes"):
             v = getattr(self, name)
             if v is None:
-                v = _cells_to_nodes(getattr(self, name[:-6]), g)
+                v = cells_to_nodes(getattr(self, name[:-6]), g)
             else:
                 v = np.asarray(v, dtype=float)
                 if v.shape != (g.n_xnodes,):
@@ -221,14 +237,14 @@ class ProblemSpec:
         return float(np.max(np.abs(self.grid.diff_x(self.V))))
 
 
-def _cells_to_nodes(cells: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Second-order interpolation of cell values to cell edges."""
+def cells_to_nodes(cells: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """Second-order interpolation of cell values to cell edges (last axis)."""
     if grid.periodic:
-        return 0.5 * (cells + np.roll(cells, 1))
-    inner = 0.5 * (cells[1:] + cells[:-1])
-    left = 1.5 * cells[0] - 0.5 * cells[1]
-    right = 1.5 * cells[-1] - 0.5 * cells[-2]
-    return np.concatenate([[left], inner, [right]])
+        return 0.5 * (cells + np.roll(cells, 1, axis=-1))
+    inner = 0.5 * (cells[..., 1:] + cells[..., :-1])
+    left = 1.5 * cells[..., :1] - 0.5 * cells[..., 1:2]
+    right = 1.5 * cells[..., -1:] - 0.5 * cells[..., -2:-1]
+    return np.concatenate([left, inner, right], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .grids import (
     MomentumField,
     ProblemSpec,
     SpaceTimeGrid,
+    stencil_matrix,
 )
 
 
@@ -63,11 +64,6 @@ class PrimalSolveError(RuntimeError):
     """The primal solver's linear algebra failed for this grid."""
 
 
-def _stencil(apply, n_edges: int, free) -> sp.csr_matrix:
-    """Matrix of an edge -> cell stencil acting on the free edge values."""
-    return sp.csr_matrix(apply(np.eye(n_edges)[free]).T)
-
-
 class _Operators:
     """Sparse operators and cached factorizations for one grid.
 
@@ -85,8 +81,10 @@ class _Operators:
         time = SpaceTimeGrid(grid.T, 0.0, grid.T, nt, nt)
         interior = slice(1, -1)
         free = slice(None) if grid.periodic else interior  # no-flux faces
-        D_t, A_t = (_stencil(f, nt + 1, interior) for f in (time.diff_x, time.avg_x))
-        D_x, A_x = (_stencil(f, grid.n_faces, free) for f in (grid.diff_x, grid.avg_x))
+        D_t, A_t = (stencil_matrix(f, nt + 1, interior)
+                    for f in (time.diff_x, time.avg_x))
+        D_x, A_x = (stencil_matrix(f, grid.n_faces, free)
+                    for f in (grid.diff_x, grid.avg_x))
         I_t, I_x = sp.identity(nt), sp.identity(nx)
         self.nm = (nt - 1) * nx
 

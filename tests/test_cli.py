@@ -366,6 +366,29 @@ def test_sweep(tmp_path, capsys):
     assert report["sweep"]["passed"]
 
 
+def test_sweep_nonzero_coupling_names_key(tmp_path, capsys):
+    p = tmp_path / "sweep.yaml"
+    p.write_text(SWEEP_YAML.replace(
+        "{epsilon: 0.4}", "{epsilon: 0.4, f_family: power, f_params: [1.0, 1.0]}"))
+    assert run(str(p), "sweep", out=str(tmp_path / "o")) == EXIT_CONFIG
+    assert "'problem.coupling.f_family'" in capsys.readouterr().err
+
+
+def _primal_bug(*args, **kwargs):
+    raise ValueError("programming error in the primal solve")
+
+
+def test_sweep_programming_error_not_reported_as_config_error(
+        tmp_path, capsys, monkeypatch):
+    # only ConfigError maps to exit 1; anything else propagates
+    p = tmp_path / "sweep.yaml"
+    p.write_text(SWEEP_YAML)
+    monkeypatch.setattr("mfplan.primal.solve_primal", _primal_bug)
+    with pytest.raises(ValueError, match="programming error"):
+        run(str(p), "sweep", out=str(tmp_path / "o"))
+    assert "config key" not in capsys.readouterr().err
+
+
 def test_sweep_requires_eps_list(gibbs_cfg, tmp_path, capsys):
     assert run(str(gibbs_cfg), "sweep",
                out=str(tmp_path / "o")) == EXIT_CONFIG

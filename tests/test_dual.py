@@ -266,6 +266,24 @@ def test_jacobian_matches_fd(topology, rng):
         assert np.max(np.abs(jv - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jv)))
 
 
+@pytest.mark.parametrize("topology", ["interval-neumann", "torus"])
+@pytest.mark.parametrize("scale", [0.0, 0.2])
+def test_jacobian_pattern(topology, scale, rng):
+    # the factor's fill follows the stored pattern: 9 entries on an interior
+    # row, 5 on a time-boundary row and 3 on a lateral row, whatever the
+    # values (at u = 0 the u_tx entries are stored zeros)
+    spec = _uniform_spec(5, 6, topology, eps=0.4)
+    g = spec.grid
+    u = rng.standard_normal((g.n_t + 1, g.n_xnodes)) * scale
+    J = assemble_jacobian(_field(spec, u), spec).tocsr()
+    J.sum_duplicates()
+    expect = np.full((g.n_t + 1, g.n_xnodes), 9)
+    expect[[0, -1]] = 5
+    if not g.periodic:
+        expect[:, [0, -1]] = 3
+    assert np.array_equal(np.diff(J.indptr), expect.ravel())
+
+
 # ---------------------------------------------------------------------------
 # full solve
 # ---------------------------------------------------------------------------

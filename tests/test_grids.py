@@ -53,6 +53,24 @@ def test_diff_t_nodes_exact_on_quadratics(n_t):
     assert np.allclose(g.diff_t_nodes(t * t), 2.0 * t, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_x", [2, 3, 8])
+def test_diff_x_nodes_exact_on_quadratics(n_x):
+    # centered inside and one-sided second order at both ends of an interval
+    g = SpaceTimeGrid(1.0, -1.0, 2.0, 3, n_x)
+    x = np.ones((4, 1)) * g.x_nodes()
+    assert g.diff_x_nodes(x * x).shape == (4, n_x + 1)
+    assert np.allclose(g.diff_x_nodes(x * x), 2.0 * x, rtol=0.0, atol=1e-12)
+
+
+def test_diff_x_nodes_wraps_on_torus(rng):
+    g = SpaceTimeGrid(1.0, 0.0, 2.0, 3, 6, "torus")
+    u = rng.standard_normal((4, 6))
+    expect = np.empty_like(u)
+    for i in range(6):
+        expect[:, i] = (u[:, (i + 1) % 6] - u[:, (i - 1) % 6]) / (2 * g.dx)
+    assert np.allclose(g.diff_x_nodes(u), expect, rtol=0.0, atol=1e-14)
+
+
 @pytest.mark.parametrize("n_t", [2, 5, 16])
 @pytest.mark.parametrize("n_x", [2, 7, 16])
 @pytest.mark.parametrize("topology", ["interval-neumann", "torus"])
