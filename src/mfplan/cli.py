@@ -20,7 +20,7 @@ from .config import ConfigError, RunConfig, load_config
 from .dual import DualSolveError, solve_dual
 from .grids import validate_problem
 from .hamiltonian import DegenerateHamiltonianError, KernelSolveError
-from .primal import PrimalSolveError, solve_primal
+from .primal import solve_primal
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -150,7 +150,7 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
     if cfg.method in ("primal", "both"):
         try:
             primal_state, primal_log = solve_primal(cfg.spec, cfg.primal)
-        except (KernelSolveError, PrimalSolveError) as exc:
+        except KernelSolveError as exc:
             print(f"primal solve failed: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
         log_payload["primal"] = {
@@ -207,7 +207,7 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (KernelSolveError, PrimalSolveError) as exc:
+    except KernelSolveError as exc:
         print(f"sweep member solve failed: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     lines = ["eps,error"]

@@ -60,6 +60,12 @@ def _reject(block: dict, block_name: str):
         raise ConfigError(f"{block_name}.{key}", "unknown key")
 
 
+def _mapping(block, key: str) -> dict:
+    if not isinstance(block, dict):
+        raise ConfigError(key, "expected a mapping")
+    return dict(block)
+
+
 def _number(value, key, *, integer=False, minimum=None, strict=False):
     try:
         out = int(value) if integer else float(value)
@@ -100,10 +106,7 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
         raise ConfigError("<root>", "top level must be a mapping")
     raw = dict(raw)
 
-    grid_block = _take(raw, "<root>", "grid", required=True)
-    if not isinstance(grid_block, dict):
-        raise ConfigError("grid", "expected a mapping")
-    grid_block = dict(grid_block)
+    grid_block = _mapping(_take(raw, "<root>", "grid", required=True), "grid")
     topology = _take(grid_block, "grid", "topology", INTERVAL)
     if topology not in (INTERVAL, TORUS):
         raise ConfigError("grid.topology", f"must be one of {INTERVAL!r}, {TORUS!r}")
@@ -127,12 +130,9 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
         raise ConfigError("grid", str(exc)) from None
     _reject(grid_block, "grid")
 
-    prob = _take(raw, "<root>", "problem", required=True)
-    if not isinstance(prob, dict):
-        raise ConfigError("problem", "expected a mapping")
-    prob = dict(prob)
+    prob = _mapping(_take(raw, "<root>", "problem", required=True), "problem")
 
-    ham_block = dict(_take(prob, "problem", "hamiltonian", {"family": "quadratic"}))
+    ham_block = _mapping(_take(prob, "problem", "hamiltonian", {}), "problem.hamiltonian")
     try:
         hamiltonian = HamiltonianSpec(
             family=_take(ham_block, "problem.hamiltonian", "family", "quadratic"),
@@ -149,7 +149,7 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
         raise ConfigError("problem.hamiltonian", str(exc)) from None
     _reject(ham_block, "problem.hamiltonian")
 
-    coup_block = dict(_take(prob, "problem", "coupling", {}))
+    coup_block = _mapping(_take(prob, "problem", "coupling", {}), "problem.coupling")
     f_params = _take(coup_block, "problem.coupling", "f_params", [])
     if not isinstance(f_params, (list, tuple)):
         raise ConfigError("problem.coupling.f_params", "expected a list")
@@ -207,7 +207,7 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     if method not in ("primal", "dual", "both"):
         raise ConfigError("method", "must be primal, dual, or both")
 
-    primal_block = dict(_take(raw, "<root>", "primal", {}))
+    primal_block = _mapping(_take(raw, "<root>", "primal", {}), "primal")
     primal_cfg = PrimalConfig(
         tol_kkt=_number(
             _take(primal_block, "primal", "tol_kkt", PrimalConfig.tol_kkt),
@@ -218,7 +218,7 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     )
     _reject(primal_block, "primal")
 
-    dual_block = dict(_take(raw, "<root>", "dual", {}))
+    dual_block = _mapping(_take(raw, "<root>", "dual", {}), "dual")
     dual_cfg = DualConfig(
         newton_tol=_number(
             _take(dual_block, "dual", "newton_tol", DualConfig.newton_tol),
@@ -240,7 +240,7 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
                 raise ConfigError(f"checks.{name}", "unknown check name")
         checks = tuple(checks_val)
 
-    sweep_block = dict(_take(raw, "<root>", "sweep", {}))
+    sweep_block = _mapping(_take(raw, "<root>", "sweep", {}), "sweep")
     eps_list = _take(sweep_block, "sweep", "eps_list", [])
     if not isinstance(eps_list, (list, tuple)):
         raise ConfigError("sweep.eps_list", "expected a list")

@@ -5,10 +5,10 @@ U = (interior densities, free momenta) and cell-centered variables
 Vc = (Mc, Wc):
 
 * G1(U, Vc) = indicator{continuity C U = d} + integrand J(Vc)
-  — prox splits into the affine continuity projection (cached sparse
-  factorization of C C^T) and the per-cell prox of the integrand;
+  — prox splits into the affine continuity projection (pseudo-inverse of
+  C C^T from its two 1-D factors) and the per-cell prox of the integrand;
 * G2(U, Vc) = indicator{Vc = A U + b}
-  — projection onto the graph of the staggered-to-centered averaging A.
+  — projection onto the graph of the averaging A (cached LU of I + A^T A).
 
 The step SIGMA and the over-relaxation THETA are fixed.  The iteration
 keeps the output continuity-feasible at every step and stops on the
@@ -60,12 +60,8 @@ class PrimalLog:
     reason: str = ""  # why the iteration stopped unconverged
 
 
-class PrimalSolveError(RuntimeError):
-    """The primal solver's linear algebra failed for this grid."""
-
-
 class _Operators:
-    """Sparse operators and cached factorizations for one grid.
+    """Sparse operators and cached projection solvers for one grid.
 
     With the staggered unknowns ordered (interior densities, free momenta),
     each time-major, the continuity operator is C = [D_t (x) I, -I (x) D_x]
@@ -91,14 +87,15 @@ class _Operators:
         # format="csr": kron's block format would store the zeros of D_x, A_x
         kron = functools.partial(sp.kron, format="csr")
         self.C = sp.hstack([kron(D_t, I_x), -kron(I_t, D_x)], format="csr")
-        try:
-            self._cc_lu = splu(sp.csc_matrix(self.C @ self.C.T))
-        except RuntimeError as exc:
-            # 1^T C = 0: C C^T is singular and factors only while round-off
-            # leaves a nonzero pivot
-            raise PrimalSolveError(
-                f"continuity factorization C C^T is singular on the "
-                f"{nt}x{nx} grid ({exc})") from exc
+        # C C^T = G_t (x) I + I (x) G_x, G = D D^T, is diagonalized by the
+        # eigenvectors of the 1-D Gram matrices.  eigh sorts ascending and each
+        # G's only null vector is the constant, so the one zero sum is (0, 0):
+        # the constant mode, outside range(C), which the pseudo-inverse drops.
+        l_t, self._Q_t = np.linalg.eigh((D_t @ D_t.T).toarray())
+        l_x, self._Q_x = np.linalg.eigh((D_x @ D_x.T).toarray())
+        eig = l_t[:, None] + l_x[None, :]
+        eig[0, 0] = np.inf  # 1 / inf = 0
+        self._cc_pinv = 1.0 / eig
         self.A = sp.block_diag([kron(A_t, I_x), kron(I_t, A_x)], format="csr")
         n = self.A.shape[1]
         self._graph_lu = splu(sp.csc_matrix(sp.eye(n) + self.A.T @ self.A))
@@ -133,8 +130,10 @@ class _Operators:
         return PrimalState(DensityField(self.grid, m), MomentumField(self.grid, w))
 
     def project(self, U: np.ndarray, d: np.ndarray) -> np.ndarray:
-        resid = self.C @ U - d
-        return U - self.C.T @ self._cc_lu.solve(resid)
+        r = (self.C @ U - d).reshape(self.grid.n_t, self.grid.n_x)
+        Q_t, Q_x = self._Q_t, self._Q_x
+        lam = Q_t @ ((Q_t.T @ r @ Q_x) * self._cc_pinv) @ Q_x.T
+        return U - self.C.T @ lam.ravel()
 
     def graph_project(self, U: np.ndarray, Vc: np.ndarray, b: np.ndarray):
         Ustar = self._graph_lu.solve(U + self.A.T @ (Vc - b))

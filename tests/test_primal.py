@@ -118,11 +118,7 @@ def _reference_operators(grid):
 @pytest.mark.parametrize("topology,x_min,x_max", [
     ("torus", 0.0, 1.0), ("interval-neumann", 0.0, 1.0),
     ("interval-neumann", -2.0, 2.0)])
-def test_operators_match_reference(n_t, n_x, topology, x_min, x_max,
-                                   monkeypatch):
-    # splu is stubbed: C C^T is singular, and on some grids no round-off
-    # pivot is left to factor it
-    monkeypatch.setattr(primal, "splu", lambda a: None)
+def test_operators_match_reference(n_t, n_x, topology, x_min, x_max):
     grid = SpaceTimeGrid(1.0, x_min, x_max, n_t, n_x, topology)
     ops = primal._Operators(grid)
     for got, want in zip((ops.C, ops.A), _reference_operators(grid)):
@@ -131,13 +127,32 @@ def test_operators_match_reference(n_t, n_x, topology, x_min, x_max,
         assert got.nnz == want.nnz  # no stored zeros
 
 
-def test_operators_factor_twice(monkeypatch):
+def test_operators_factor_once(monkeypatch):
+    # the graph projection's I + A^T A is the one sparse factorization; the
+    # continuity projection diagonalizes C C^T from its 1-D factors
     calls = []
     monkeypatch.setattr(primal, "splu", lambda a: calls.append(a.shape))
     grid = SpaceTimeGrid(1.0, 0.0, 1.0, 4, 6, "interval-neumann")
     ops = primal._Operators(grid)
     n = ops.A.shape[1]
-    assert calls == [(4 * 6, 4 * 6), (n, n)]
+    assert calls == [(n, n)]
+
+
+@pytest.mark.parametrize("topology,x_min,x_max", [
+    ("torus", 0.0, 1.0), ("interval-neumann", 0.0, 1.0),
+    ("interval-neumann", -2.0, 2.0)])
+def test_project_is_least_norm_on_every_small_grid(topology, x_min, x_max, rng):
+    # C C^T is singular (1^T C = 0); project must apply its pseudo-inverse on
+    # every grid, the 8x5 interval among them, where an LU finds no pivot
+    for n_t in range(2, 17):
+        for n_x in range(2, 17):
+            ops = primal._Operators(SpaceTimeGrid(1.0, x_min, x_max, n_t, n_x,
+                                                  topology))
+            U = rng.standard_normal(ops.C.shape[1])
+            d = rng.standard_normal(ops.C.shape[0])
+            d -= d.mean()  # the range of C
+            want = U - np.linalg.lstsq(ops.C.toarray(), ops.C @ U - d)[0]
+            assert np.max(np.abs(ops.project(U, d) - want)) <= 1e-12, (n_t, n_x)
 
 
 def test_projection_matches_dense_least_squares(rng):
