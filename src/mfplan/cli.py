@@ -1,9 +1,10 @@
 """Command-line orchestration: solve, verify, sweep.
 
-Exit codes: 0 success, 1 configuration error, 2 solver non-convergence,
-3 estimate-check failure.  Outputs (fields.csv, log.json, report.json,
-eps_error.csv) are deterministic: fixed summation order, 17-significant-
-digit decimal floats, no timestamps — reruns are byte-identical.
+Exit codes: 0 success, 1 configuration or usage error, 2 solver
+non-convergence, 3 estimate-check failure.  Outputs (fields.csv, log.json,
+report.json, eps_error.csv) are deterministic: fixed summation order,
+17-significant-digit decimal floats, no timestamps — reruns are
+byte-identical.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ import numpy as np
 
 from . import estimates
 from .config import ConfigError, RunConfig, load_config
-from .dual import DualSolveError, solve_dual
+from .dual import solve_dual
 from .grids import validate_problem
-from .hamiltonian import DegenerateHamiltonianError, KernelSolveError
+from .hamiltonian import SolveError
 from .primal import solve_primal
 
 EXIT_OK = 0
@@ -115,15 +116,11 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
         out: str | None = None, dry_run: bool = False) -> int:
     try:
         cfg = load_config(config_path)
+        if method is not None:
+            cfg = dataclasses.replace(cfg, method=method)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if method is not None:
-        if method not in ("primal", "dual", "both"):
-            print("error: config key 'method': must be primal, dual, or both",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        cfg = dataclasses.replace(cfg, method=method)
     if verb == "verify" and not cfg.checks:
         from .config import KNOWN_CHECKS
         cfg = dataclasses.replace(cfg, checks=KNOWN_CHECKS)
@@ -150,7 +147,7 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
     if cfg.method in ("primal", "both"):
         try:
             primal_state, primal_log = solve_primal(cfg.spec, cfg.primal)
-        except KernelSolveError as exc:
+        except SolveError as exc:
             print(f"primal solve failed: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
         log_payload["primal"] = {
@@ -168,7 +165,7 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
     if cfg.method in ("dual", "both"):
         try:
             u, m_dual, dual_log = solve_dual(cfg.spec, cfg.dual)
-        except (DualSolveError, DegenerateHamiltonianError, KernelSolveError) as exc:
+        except SolveError as exc:
             print(f"dual solve failed: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
         log_payload["dual"] = {"stages": dual_log.stages}
@@ -207,7 +204,7 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except KernelSolveError as exc:
+    except SolveError as exc:
         print(f"sweep member solve failed: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     lines = ["eps,error"]
@@ -241,7 +238,10 @@ def main(argv=None) -> int:
         if verb == "solve":
             p.add_argument("--method", choices=("primal", "dual", "both"),
                            default=None)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     return run(
         args.config,
         verb=args.verb,

@@ -1,12 +1,24 @@
 """Strict YAML configuration parsing into solver inputs.
 
 Parsing is total: every failure raises ConfigError naming the offending
-key, and unknown keys are rejected by name.  The resolved RunConfig holds
-a fully validated ProblemSpec plus solver/check settings.
+key, and unknown keys are rejected by name.  One reader, ``_read``, reads
+every block through a schema {name: (convert, default)}.  The settings
+blocks pass only the keys present to their dataclass, which keeps the
+defaults and range checks; a range error names the block.  The potential
+and marginal families are tables of the same kind, so their errors name
+the exact parameter.  The resolved RunConfig holds a fully validated
+ProblemSpec plus solver/check settings.
+
+Marginals and potentials are sampled both at cell centers and at cell
+edges (nodes).  The two samplings share a single normalization constant,
+the cell-sum one, so that closed-form relations like
+log m = -V/eps - log Z hold exactly at the nodes as well; the dual
+solver's boundary rows depend on that.
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -14,8 +26,7 @@ import numpy as np
 import yaml
 
 from .dual import DualConfig
-from .families import FamilyError, marginal_on_grid, potential_on_grid
-from .grids import INTERVAL, TORUS, ProblemSpec, SpaceTimeGrid
+from .grids import ProblemSpec, SpaceTimeGrid
 from .hamiltonian import CouplingSpec, HamiltonianSpec
 from .primal import PrimalConfig
 
@@ -27,6 +38,7 @@ KNOWN_CHECKS = (
     "duality_gap",
     "maximum_principle_ut",
 )
+REQUIRED = object()  # schema default of a name that must be present
 
 
 class ConfigError(ValueError):
@@ -45,222 +57,289 @@ class RunConfig:
     sweep_eps: tuple[float, ...] = ()
     output_dir: str = "out"
 
-
-def _take(block: dict, block_name: str, key: str, default=None, required=False):
-    if key in block:
-        return block.pop(key)
-    if required:
-        raise ConfigError(f"{block_name}.{key}", "missing required key")
-    return default
+    def __post_init__(self):
+        if self.method not in ("primal", "dual", "both"):
+            raise ConfigError("method", "must be primal, dual, or both")
+        if any(eps < 0 for eps in self.sweep_eps):
+            raise ConfigError("sweep.eps_list", "every eps must be >= 0")
 
 
-def _reject(block: dict, block_name: str):
-    if block:
-        key = sorted(block)[0]
-        raise ConfigError(f"{block_name}.{key}", "unknown key")
+# ---------------------------------------------------------------------------
+# the reader and its converters: each takes (value, key) and names the key
+# when it rejects the value
+# ---------------------------------------------------------------------------
 
-
-def _mapping(block, key: str) -> dict:
-    if not isinstance(block, dict):
-        raise ConfigError(key, "expected a mapping")
-    return dict(block)
-
-
-def _number(value, key, *, integer=False, minimum=None, strict=False):
-    try:
-        out = int(value) if integer else float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(key, f"expected a number, got {value!r}") from None
-    if integer and float(value) != out:
-        raise ConfigError(key, f"expected an integer, got {value!r}")
-    if minimum is not None and (out <= minimum if strict else out < minimum):
-        op = ">" if strict else ">="
-        raise ConfigError(key, f"must be {op} {minimum}, got {out}")
+def _read(block, key: str, schema: dict) -> dict:
+    """The entries of a mapping, each passed through its converter in schema
+    {name: (convert, default)}.  An absent name takes its default, is refused
+    if the default is REQUIRED, and is left out if the default is None."""
+    block = _mapping(block, key)
+    prefix = f"{key}." if key else ""
+    unknown = sorted(set(block) - set(schema), key=str)
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}", "unknown key")
+    out = {}
+    for name, (convert, default) in schema.items():
+        value = block.get(name, default)
+        if value is REQUIRED:
+            raise ConfigError(prefix + name, "missing required key")
+        if name in block or default is not None:
+            out[name] = convert(value, prefix + name)
     return out
 
 
-def _load_csv_column(path_value, key, base_dir: Path) -> list[float]:
-    path = Path(path_value)
-    if not path.is_absolute():
-        path = base_dir / path
+def _finite(value, key: str) -> float:
     try:
-        with open(path, newline="") as fh:
-            return [float(row[0]) for row in csv.reader(fh) if row]
-    except (OSError, ValueError) as exc:
-        raise ConfigError(key, f"cannot read CSV column from {path}: {exc}") from None
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise ConfigError(key, f"expected a finite number, got {value!r}")
+    return out
 
 
-def _resolve_field_block(block, key, base_dir):
-    """Allow {family: csv, path: file.csv} to load its values eagerly."""
-    if not isinstance(block, dict):
-        raise ConfigError(key, "expected a mapping with a 'family' key")
-    block = dict(block)
-    if block.get("family") == "csv" and "path" in block:
-        block["values"] = _load_csv_column(block.pop("path"), f"{key}.path", base_dir)
-    return block
+def _integer(value, key: str) -> int:
+    out = _finite(value, key)
+    if out != int(out):
+        raise ConfigError(key, f"expected an integer, got {value!r}")
+    return int(out)
 
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(key, f"expected a string, got {value!r}")
+    return value
+
+
+def _mapping(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(key or "<root>", "expected a mapping")
+    return value
+
+
+def _list(value, key: str, item) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(key, "expected a list")
+    return tuple(item(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+def _floats(value, key: str) -> tuple[float, ...]:
+    return _list(value, key, _finite)
+
+
+def _mappings(value, key: str) -> tuple[dict, ...]:
+    return _list(value, key, _mapping)
+
+
+def _checks(value, key: str) -> tuple[str, ...]:
+    if value == "all":
+        return KNOWN_CHECKS
+    names = _list(value, key, _string)
+    for i, name in enumerate(names):
+        if name not in KNOWN_CHECKS:
+            raise ConfigError(f"{key}[{i}]", f"unknown check {name!r}")
+    return names
+
+
+def _settings(cls, schema: dict, **rename):
+    """Converter of a block whose keys present go to the dataclass cls (under
+    their rename, if any), which keeps its own defaults and range checks."""
+    def convert(block, key):
+        values = _read(block, key, schema)
+        try:
+            return cls(**{rename.get(k, k): v for k, v in values.items()})
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from None
+    return convert
+
+
+_GRID = _settings(SpaceTimeGrid, {
+    "t_horizon": (_finite, REQUIRED), "x_min": (_finite, REQUIRED),
+    "x_max": (_finite, REQUIRED), "n_t": (_integer, REQUIRED),
+    "n_x": (_integer, REQUIRED), "topology": (_string, None),
+}, t_horizon="T")
+_HAMILTONIAN = _settings(HamiltonianSpec, {
+    "family": (_string, None), "q": (_finite, None),
+    "varpi": (_finite, None), "scale": (_finite, None),
+})
+_COUPLING = _settings(CouplingSpec, {
+    "epsilon": (_finite, None), "f_family": (_string, None),
+    "f_params": (_floats, None),
+})
+_PRIMAL = _settings(PrimalConfig, {
+    "tol_kkt": (_finite, None), "max_iters": (_integer, None),
+})
+_DUAL = _settings(DualConfig, {
+    "newton_tol": (_finite, None), "max_newton_iters": (_integer, None),
+})
+
+
+# ---------------------------------------------------------------------------
+# potential and marginal families
+# ---------------------------------------------------------------------------
+
+def _family(block, key: str, tables: dict, default=REQUIRED) -> tuple[str, dict]:
+    """(name, params) of a block {family: name, ...}; the params are read by
+    the named family's table."""
+    name = _mapping(block, key).get("family", default)
+    if name is REQUIRED:
+        raise ConfigError(f"{key}.family", "missing required key")
+    if _string(name, f"{key}.family") not in tables:
+        raise ConfigError(f"{key}.family", f"unknown family {name!r}")
+    return name, _read(block, key, {"family": (_string, None), **tables[name]})
+
+
+def _csv_table(base_dir: Path) -> dict:
+    """Table of the csv family: a path to one value per line, or the values."""
+    def column(value, key):
+        path = base_dir / _string(value, key)
+        try:
+            with open(path, newline="") as fh:
+                rows = [row[0] for row in csv.reader(fh) if row]
+        except OSError as exc:
+            raise ConfigError(key, f"cannot read CSV column from {path}: {exc}") from None
+        return _floats(rows, key)
+    return {"path": (column, None), "values": (_floats, None)}
+
+
+def _cell_values(params: dict, key: str, n: int) -> np.ndarray:
+    values = params.get("path", params.get("values"))
+    if values is None:
+        raise ConfigError(f"{key}.path", "missing required key")
+    if len(values) != n:
+        raise ConfigError(key, f"the csv family needs {n} cell values, got {len(values)}")
+    return np.asarray(values, dtype=float)
+
+
+def _torus_dist(x: np.ndarray, center: float, grid: SpaceTimeGrid) -> np.ndarray:
+    if not grid.periodic:
+        return np.abs(x - center)
+    L = grid.length
+    d = np.abs((x - center) % L)
+    return np.minimum(d, L - d)
+
+
+def potential_on_grid(block: dict, grid: SpaceTimeGrid, key: str = "potential",
+                      base_dir: Path | str = ".") -> tuple[np.ndarray, np.ndarray | None]:
+    """(V at cells, V at nodes) of a potential block {family, ...}; the nodes
+    are None for the csv family (the ProblemSpec interpolates them)."""
+    family, p = _family(block, key, {
+        "zero": {},
+        "quadratic": {"scale": (_finite, 1.0), "center": (_finite, 0.0)},
+        "cosine": {"amplitude": (_finite, 1.0), "periods": (_integer, 1)},
+        "csv": _csv_table(Path(base_dir)),
+    }, default="zero")
+    if family == "csv":
+        return _cell_values(p, key, grid.n_x), None
+    if family == "zero":
+        fn = np.zeros_like
+    elif family == "quadratic":
+        fn = lambda x: 0.5 * p["scale"] * (x - p["center"]) ** 2
+    else:
+        fn = lambda x: p["amplitude"] * np.cos(
+            2.0 * np.pi * p["periods"] * (x - grid.x_min) / grid.length
+        )
+    return fn(grid.x_cells()), fn(grid.x_nodes())
+
+
+def _marginal(block, key: str, grid: SpaceTimeGrid, V: tuple, epsilon: float,
+              base_dir: Path):
+    """Unnormalized density of a marginal block, as a function of the
+    sampling s (0 the cells, 1 the nodes) that gives None where the block
+    has no values: csv marginals and gibbs ones over a csv potential have
+    none at the nodes."""
+    mid, L = 0.5 * (grid.x_min + grid.x_max), grid.length
+    family, p = _family(block, key, {
+        "uniform": {},
+        "gaussian": {"mean": (_finite, mid), "std": (_finite, 0.25 * L)},
+        "gibbs": {},
+        "bump": {"center": (_finite, mid), "width": (_finite, 0.1 * L),
+                 "floor": (_finite, 1e-3)},
+        "mixture": {"components": (_mappings, REQUIRED),
+                    "weights": (_floats, REQUIRED)},
+        "csv": _csv_table(base_dir),
+    })
+    x = (grid.x_cells(), grid.x_nodes())
+    for name in ("std", "width"):
+        if name in p and p[name] <= 0:
+            raise ConfigError(f"{key}.{name}", "must be positive")
+    if family == "uniform":
+        return lambda s: np.ones_like(x[s])
+    if family == "gaussian":
+        return lambda s: np.exp(-0.5 * ((x[s] - p["mean"]) / p["std"]) ** 2)
+    if family == "gibbs":
+        if epsilon <= 0:
+            raise ConfigError(key, "gibbs marginal requires coupling.epsilon > 0")
+        return lambda s: None if V[s] is None else np.exp(-V[s] / epsilon)
+    if family == "bump":
+        return lambda s: np.exp(
+            -0.5 * (_torus_dist(x[s], p["center"], grid) / p["width"]) ** 2
+        ) + p["floor"]
+    if family == "csv":
+        values = _cell_values(p, key, grid.n_x)
+        return lambda s: None if s else values
+    weights = p["weights"]
+    if len(weights) != len(p["components"]) or min(weights, default=0.0) < 0:
+        raise ConfigError(f"{key}.weights", "need one weight >= 0 per component")
+    parts = [_marginal(c, f"{key}.components[{i}]", grid, V, epsilon, base_dir)
+             for i, c in enumerate(p["components"])]
+
+    def mixture(s):
+        raws = [part(s) for part in parts]
+        if any(raw is None for raw in raws):
+            return None
+        total = np.zeros_like(x[s])
+        for wgt, raw, part in zip(weights, raws, parts):
+            total += wgt * raw / np.sum(part(0) * grid.dx)
+        return total
+    return mixture
+
+
+def marginal_on_grid(block: dict, grid: SpaceTimeGrid, V_cells: np.ndarray,
+                     V_nodes: np.ndarray | None, epsilon: float,
+                     key: str = "marginal", base_dir: Path | str = "."
+                     ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(cells, nodes) sampling of a marginal block, sharing one normalizer;
+    the nodes are None where the ProblemSpec is to interpolate them."""
+    raw = _marginal(block, key, grid, (V_cells, V_nodes), epsilon, Path(base_dir))
+    cells = raw(0)
+    Z = float(np.sum(cells) * grid.dx)
+    if Z <= 0 or not np.all(np.isfinite(cells)) or np.any(cells <= 0):
+        raise ConfigError(key, "the density is not strictly positive")
+    nodes = raw(1)
+    return cells / Z, None if nodes is None else nodes / Z
+
+
+# ---------------------------------------------------------------------------
+# the whole file
+# ---------------------------------------------------------------------------
 
 def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
-    base_dir = Path(base_dir)
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "top level must be a mapping")
-    raw = dict(raw)
+    top = _read(raw, "", {
+        "grid": (_GRID, REQUIRED), "problem": (_mapping, REQUIRED),
+        "method": (_string, None), "primal": (_PRIMAL, {}), "dual": (_DUAL, {}),
+        "checks": (_checks, None), "sweep": (_mapping, {}),
+        "output_dir": (_string, None),
+    })
+    grid = top.pop("grid")
+    prob = _read(top.pop("problem"), "problem", {
+        "hamiltonian": (_HAMILTONIAN, {}), "coupling": (_COUPLING, {}),
+        "potential": (_mapping, {}), "m0": (_mapping, REQUIRED),
+        "m1": (_mapping, REQUIRED),
+    })
+    sweep = _read(top.pop("sweep"), "sweep", {"eps_list": (_floats, None)})
 
-    grid_block = _mapping(_take(raw, "<root>", "grid", required=True), "grid")
-    topology = _take(grid_block, "grid", "topology", INTERVAL)
-    if topology not in (INTERVAL, TORUS):
-        raise ConfigError("grid.topology", f"must be one of {INTERVAL!r}, {TORUS!r}")
+    eps = prob["coupling"].epsilon
+    V = potential_on_grid(prob["potential"], grid, "problem.potential", base_dir)
+    m0, m1 = (marginal_on_grid(prob[name], grid, *V, eps, f"problem.{name}", base_dir)
+              for name in ("m0", "m1"))
     try:
-        grid = SpaceTimeGrid(
-            T=_number(_take(grid_block, "grid", "t_horizon", required=True),
-                      "grid.t_horizon", minimum=0.0, strict=True),
-            x_min=_number(_take(grid_block, "grid", "x_min", required=True),
-                          "grid.x_min"),
-            x_max=_number(_take(grid_block, "grid", "x_max", required=True),
-                          "grid.x_max"),
-            n_t=_number(_take(grid_block, "grid", "n_t", required=True),
-                        "grid.n_t", integer=True, minimum=2),
-            n_x=_number(_take(grid_block, "grid", "n_x", required=True),
-                        "grid.n_x", integer=True, minimum=2),
-            topology=topology,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("grid", str(exc)) from None
-    _reject(grid_block, "grid")
-
-    prob = _mapping(_take(raw, "<root>", "problem", required=True), "problem")
-
-    ham_block = _mapping(_take(prob, "problem", "hamiltonian", {}), "problem.hamiltonian")
-    try:
-        hamiltonian = HamiltonianSpec(
-            family=_take(ham_block, "problem.hamiltonian", "family", "quadratic"),
-            q=_number(_take(ham_block, "problem.hamiltonian", "q", 2.0),
-                      "problem.hamiltonian.q"),
-            varpi=_number(_take(ham_block, "problem.hamiltonian", "varpi", 0.0),
-                          "problem.hamiltonian.varpi"),
-            scale=_number(_take(ham_block, "problem.hamiltonian", "scale", 1.0),
-                          "problem.hamiltonian.scale"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("problem.hamiltonian", str(exc)) from None
-    _reject(ham_block, "problem.hamiltonian")
-
-    coup_block = _mapping(_take(prob, "problem", "coupling", {}), "problem.coupling")
-    f_params = _take(coup_block, "problem.coupling", "f_params", [])
-    if not isinstance(f_params, (list, tuple)):
-        raise ConfigError("problem.coupling.f_params", "expected a list")
-    try:
-        coupling = CouplingSpec(
-            epsilon=_number(_take(coup_block, "problem.coupling", "epsilon", 1.0),
-                            "problem.coupling.epsilon", minimum=0.0),
-            f_family=_take(coup_block, "problem.coupling", "f_family", "zero"),
-            f_params=tuple(f_params),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("problem.coupling", str(exc)) from None
-    _reject(coup_block, "problem.coupling")
-
-    pot_block = _resolve_field_block(
-        _take(prob, "problem", "potential", {"family": "zero"}),
-        "problem.potential", base_dir,
-    )
-    try:
-        V_cells, V_nodes = potential_on_grid(pot_block, grid)
-    except (FamilyError, KeyError) as exc:
-        raise ConfigError("problem.potential", str(exc)) from None
-
-    marginals = {}
-    for name in ("m0", "m1"):
-        block = _resolve_field_block(
-            _take(prob, "problem", name, required=True), f"problem.{name}", base_dir
-        )
-        try:
-            marginals[name] = marginal_on_grid(
-                block, grid, V_cells, V_nodes, coupling.epsilon
-            )
-        except (FamilyError, KeyError) as exc:
-            raise ConfigError(f"problem.{name}", str(exc)) from None
-    _reject(prob, "problem")
-
-    try:
-        spec = ProblemSpec(
-            grid=grid,
-            m0=marginals["m0"][0],
-            m1=marginals["m1"][0],
-            V=V_cells,
-            hamiltonian=hamiltonian,
-            coupling=coupling,
-            m0_nodes=marginals["m0"][1],
-            m1_nodes=marginals["m1"][1],
-            V_nodes=V_nodes,
-        )
+        spec = ProblemSpec(grid, m0[0], m1[0], V[0], prob["hamiltonian"],
+                           prob["coupling"], m0[1], m1[1], V[1])
     except ValueError as exc:
         raise ConfigError("problem", str(exc)) from None
-
-    method = _take(raw, "<root>", "method", "both")
-    if method not in ("primal", "dual", "both"):
-        raise ConfigError("method", "must be primal, dual, or both")
-
-    primal_block = _mapping(_take(raw, "<root>", "primal", {}), "primal")
-    primal_cfg = PrimalConfig(
-        tol_kkt=_number(
-            _take(primal_block, "primal", "tol_kkt", PrimalConfig.tol_kkt),
-            "primal.tol_kkt", minimum=0.0, strict=True),
-        max_iters=_number(
-            _take(primal_block, "primal", "max_iters", PrimalConfig.max_iters),
-            "primal.max_iters", integer=True, minimum=1),
-    )
-    _reject(primal_block, "primal")
-
-    dual_block = _mapping(_take(raw, "<root>", "dual", {}), "dual")
-    dual_cfg = DualConfig(
-        newton_tol=_number(
-            _take(dual_block, "dual", "newton_tol", DualConfig.newton_tol),
-            "dual.newton_tol", minimum=0.0, strict=True),
-        max_newton_iters=_number(
-            _take(dual_block, "dual", "max_newton_iters", DualConfig.max_newton_iters),
-            "dual.max_newton_iters", integer=True, minimum=1),
-    )
-    _reject(dual_block, "dual")
-
-    checks_val = _take(raw, "<root>", "checks", [])
-    if checks_val == "all":
-        checks = KNOWN_CHECKS
-    else:
-        if not isinstance(checks_val, (list, tuple)):
-            raise ConfigError("checks", "expected a list of check names or 'all'")
-        for name in checks_val:
-            if name not in KNOWN_CHECKS:
-                raise ConfigError(f"checks.{name}", "unknown check name")
-        checks = tuple(checks_val)
-
-    sweep_block = _mapping(_take(raw, "<root>", "sweep", {}), "sweep")
-    eps_list = _take(sweep_block, "sweep", "eps_list", [])
-    if not isinstance(eps_list, (list, tuple)):
-        raise ConfigError("sweep.eps_list", "expected a list")
-    sweep_eps = tuple(
-        _number(x, "sweep.eps_list", minimum=0.0) for x in eps_list
-    )
-    _reject(sweep_block, "sweep")
-
-    output_dir = _take(raw, "<root>", "output_dir", "out")
-    _reject(raw, "<root>")
-
-    return RunConfig(
-        spec=spec,
-        method=method,
-        primal=primal_cfg,
-        dual=dual_cfg,
-        checks=checks,
-        sweep_eps=sweep_eps,
-        output_dir=str(output_dir),
-    )
+    return RunConfig(spec=spec, sweep_eps=sweep.get("eps_list", RunConfig.sweep_eps),
+                     **top)
 
 
 def load_config(path: str | Path) -> RunConfig:

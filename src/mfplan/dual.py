@@ -44,14 +44,14 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .grids import DensityField, PotentialField, ProblemSpec, stencil_matrix
-from .hamiltonian import DegenerateHamiltonianError, h_eval, h_third
+from .hamiltonian import SolveError, h_eval, h_third
 
 
 MIN_LEVEL_CELLS = 16  # per axis, on the coarsest mesh of the nested solve
 STEP_TOL = 1e-13  # Newton stops once a damped step moves no entry by more
 
 
-class DualSolveError(RuntimeError):
+class DualSolveError(SolveError):
     """The dual solver refused the instance, or damped Newton failed on one
     level of the nested solve."""
 
@@ -60,6 +60,12 @@ class DualSolveError(RuntimeError):
 class DualConfig:
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
+
+    def __post_init__(self):
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol must be positive")
+        if self.max_newton_iters < 1:
+            raise ValueError("max_newton_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,7 @@ class DualLog:
 
 def _require_smooth(spec: ProblemSpec):
     if not spec.hamiltonian.smooth:
-        raise DegenerateHamiltonianError(
+        raise DualSolveError(
             "degenerate H_pp (varpi=0, q!=2): use the primal solver"
         )
     if spec.coupling.epsilon <= 0.0:

@@ -134,7 +134,11 @@ def coercivity_constants(H: HamiltonianSpec) -> tuple[float, float]:
     return gamma0, gamma1
 
 
-class KernelSolveError(RuntimeError):
+class SolveError(RuntimeError):
+    """A solver refused the instance or did not converge."""
+
+
+class KernelSolveError(SolveError):
     """A scalar kernel (cell prox, Legendre transform, phi) did not converge."""
 
 
@@ -372,6 +376,7 @@ __all__ = [
     "CouplingSpec",
     "DegenerateHamiltonianError",
     "KernelSolveError",
+    "SolveError",
     "h_eval",
     "h_third",
     "hpp_envelope",

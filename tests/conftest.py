@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfplan.dual import DualConfig, solve_dual
-from mfplan.families import marginal_on_grid, potential_on_grid
+from mfplan.config import marginal_on_grid, potential_on_grid
 from mfplan.grids import ProblemSpec, SpaceTimeGrid
 from mfplan.hamiltonian import CouplingSpec, HamiltonianSpec
 from mfplan.primal import PrimalConfig, solve_primal

@@ -151,23 +151,84 @@ def test_unknown_check_named(tmp_path, capsys):
     assert "perpetual_motion" in capsys.readouterr().err
 
 
+def _edited(tmp_path, text: str, key: str, value) -> Path:
+    """Write the YAML text with the dotted key set to value; return its path."""
+    raw = yaml.safe_load(text)
+    *parents, last = key.split(".")
+    block = raw
+    for name in parents:
+        block = block.setdefault(name, {})
+    block[last] = value
+    p = tmp_path / "bad.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    return p
+
+
 @pytest.mark.parametrize("key, value", [
     ("grid", 3), ("problem", "gibbs"), ("problem.hamiltonian", "quadratic"),
     ("problem.coupling", None), ("primal", 3), ("dual", None), ("sweep", [1]),
 ])
 def test_non_mapping_block_named(tmp_path, capsys, key, value):
-    raw = yaml.safe_load(GIBBS_YAML)
-    *parents, last = key.split(".")
-    block = raw
-    for name in parents:
-        block = block[name]
-    block[last] = value
-    p = tmp_path / "bad.yaml"
-    p.write_text(yaml.safe_dump(raw))
+    p = _edited(tmp_path, GIBBS_YAML, key, value)
     # in process, a traceback would be an exception raised out of main
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) \
         == EXIT_CONFIG
     assert f"config key {key!r}: expected a mapping" in capsys.readouterr().err
+
+
+GIBBS_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "gibbs.yaml"
+COMPONENTS = [{"family": "gaussian", "mean": 0.8, "std": 0.45}, {"family": "uniform"}]
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("grid.n_t", INF, "grid.n_t"),
+    ("problem.potential", {"family": "quadratic", "scale": "abc"},
+     "problem.potential.scale"),
+    ("problem.m1", {"family": "gaussian", "std": "abc"}, "problem.m1.std"),
+    ("problem.m1", {"family": "mixture", "components": COMPONENTS, "weights": 3},
+     "problem.m1.weights"),
+    ("problem.m1", {"family": "mixture", "components": 5, "weights": [0.9, 0.1]},
+     "problem.m1.components"),
+    ("problem.coupling.epsilon", INF, "problem.coupling.epsilon"),
+    ("problem.potential", {"family": "cosine", "periods": 1.5},
+     "problem.potential.periods"),
+    ("grid.x_max", INF, "grid.x_max"),
+    ("problem.coupling.epsilon", NAN, "problem.coupling.epsilon"),
+    ("problem.m1", {"family": "bump", "width": NAN}, "problem.m1.width"),
+    ("problem.m1", {"family": "gaussian", "mean": INF}, "problem.m1.mean"),
+])
+def test_malformed_value_named(tmp_path, capsys, key, value, named):
+    p = _edited(tmp_path, GIBBS_CONFIG.read_text(), key, value)
+    assert main(["solve", "--config", str(p), "--dry-run"]) == EXIT_CONFIG
+    assert f"config key {named!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("grid.n_t", 1, "'grid': need n_t >= 2 and n_x >= 2"),
+    ("dual.newton_tol", 0.0, "'dual': newton_tol must be positive"),
+    ("dual.max_newton_iters", 0, "'dual': max_newton_iters must be at least 1"),
+    ("sweep.eps_list", [0.1, -0.1], "'sweep.eps_list': every eps must be >= 0"),
+])
+def test_range_error_names_block(tmp_path, capsys, key, value, message):
+    p = _edited(tmp_path, GIBBS_YAML, key, value)
+    assert main(["solve", "--config", str(p), "--dry-run"]) == EXIT_CONFIG
+    assert f"config key {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--config", "gibbs.yaml", "--method", "foo"], EXIT_CONFIG),
+    (["solve"], EXIT_CONFIG),
+    (["sweep", "--config", "gibbs.yaml", "--method", "primal"], EXIT_CONFIG),
+    (["--help"], EXIT_OK),
+])
+def test_usage_exit_codes(argv, code):
+    assert main(argv) == code
+
+
+def test_method_override_checked(gibbs_cfg, capsys):
+    assert run(str(gibbs_cfg), "solve", method="foo", dry_run=True) == EXIT_CONFIG
+    assert "config key 'method': must be primal, dual, or both" in capsys.readouterr().err
 
 
 def test_missing_file(tmp_path, capsys):
@@ -240,6 +301,14 @@ def test_degenerate_power_hamiltonian_primal(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert rc == EXIT_OK or (rc == EXIT_NOT_CONVERGED and "primal solve" in err)
+
+
+def test_degenerate_power_hamiltonian_dual(tmp_path, capsys):
+    p = tmp_path / "degenerate.yaml"
+    p.write_text(DEGENERATE_YAML)
+    assert main(["solve", "--config", str(p), "--method", "dual",
+                 "--out", str(tmp_path / "o")]) == EXIT_NOT_CONVERGED
+    assert "dual solve failed: degenerate H_pp" in capsys.readouterr().err
 
 
 def _nan_gradient(m, *args):
@@ -341,6 +410,16 @@ def test_gibbs_8x5_solves(tmp_path, capsys):
     cfg.write_text(GIBBS_YAML.replace("n_t: 12", "n_t: 8").replace("n_x: 12", "n_x: 5"))
     assert run(str(cfg), "solve", method="both", out=str(tmp_path / "o")) == EXIT_OK, \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_t", [2, 3])
+def test_solve_two_cell_interval(tmp_path, capsys, n_t):
+    # every check, displacement convexity included, runs on two cells
+    cfg = tmp_path / "gibbs-2.yaml"
+    cfg.write_text(GIBBS_YAML.replace("n_t: 12", f"n_t: {n_t}").replace("n_x: 12", "n_x: 2")
+                   .replace("[energy_identity, duality_gap, maximum_principle_ut]", "all"))
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc in (EXIT_OK, EXIT_CHECK_FAILED), capsys.readouterr().err
 
 
 def test_sweep_4x15_solves(tmp_path, capsys):

@@ -16,7 +16,6 @@ from mfplan.grids import PotentialField, ProblemSpec, SpaceTimeGrid
 from mfplan.primal import PrimalConfig, solve_primal
 from mfplan.hamiltonian import (
     CouplingSpec,
-    DegenerateHamiltonianError,
     HamiltonianSpec,
     h_eval,
 )
@@ -43,8 +42,15 @@ def test_refuses_degenerate_hamiltonian():
     bad = ProblemSpec(spec.grid, spec.m0, spec.m1, spec.V,
                       HamiltonianSpec(family="power", q=3.0, varpi=0.0),
                       spec.coupling)
-    with pytest.raises(DegenerateHamiltonianError):
+    with pytest.raises(DualSolveError, match=r"degenerate H_pp \(varpi=0, q!=2\)"):
         solve_dual(bad)
+
+
+def test_config_validation():
+    with pytest.raises(ValueError, match="newton_tol"):
+        DualConfig(newton_tol=0.0)
+    with pytest.raises(ValueError, match="max_newton_iters"):
+        DualConfig(max_newton_iters=0)
 
 
 def test_refuses_zero_entropy():
