@@ -24,7 +24,6 @@ from .grids import (
 from .hamiltonian import (
     CouplingSpec,
     HamiltonianSpec,
-    coercivity_constants,
     h_eval,
     legendre_L,
 )
@@ -33,8 +32,7 @@ from .primal import PrimalConfig, solve_primal
 __all__ = [
     "SpaceTimeGrid", "DensityField", "MomentumField", "PotentialField",
     "ProblemSpec", "validate_problem", "mass",
-    "HamiltonianSpec", "CouplingSpec", "h_eval", "coercivity_constants",
-    "legendre_L",
+    "HamiltonianSpec", "CouplingSpec", "h_eval", "legendre_L",
     "PrimalState", "functional_value", "continuity_residual", "prox_cell",
     "PrimalConfig", "solve_primal",
     "DualConfig", "assemble_residual", "assemble_jacobian",

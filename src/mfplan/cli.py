@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimates
-from .config import ConfigError, RunConfig, load_config
+from .config import KNOWN_CHECKS, ConfigError, RunConfig, load_config
 from .dual import solve_dual
 from .grids import validate_problem
 from .hamiltonian import SolveError
@@ -121,16 +121,10 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if verb == "verify" and not cfg.checks:
-        from .config import KNOWN_CHECKS
+    if verb == "verify":
         cfg = dataclasses.replace(cfg, checks=KNOWN_CHECKS)
 
     report = validate_problem(cfg.spec)
-    if not report.admissible:
-        print(f"error: config key 'problem': inadmissible instance "
-              f"({', '.join(report.reasons)})", file=sys.stderr)
-        return EXIT_CONFIG
-
     if dry_run:
         print(_describe(cfg))
         return EXIT_OK
@@ -150,14 +144,7 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
         except SolveError as exc:
             print(f"primal solve failed: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
-        log_payload["primal"] = {
-            "iters": primal_log.iters,
-            "converged": primal_log.converged,
-            "final_value": primal_log.final_value,
-            "feasibility": primal_log.feasibility,
-            "fp_residual": primal_log.fp_residual,
-            "reason": primal_log.reason,
-        }
+        log_payload["primal"] = dataclasses.asdict(primal_log)
         if not primal_log.converged:
             _write_json(outdir / "log.json", log_payload)
             print(f"primal solve did not converge: {primal_log.reason}", file=sys.stderr)

@@ -22,7 +22,7 @@ from .config import ConfigError
 from .functional import PrimalState, functional_value
 from .grids import (DensityField, MomentumField, PotentialField, ProblemSpec,
                     SpaceTimeGrid, cells_to_nodes)
-from .hamiltonian import QUADRATIC, h_eval
+from .hamiltonian import h_eval
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def check_displacement_convexity(
     (d = 1; the coupling enters through f^eps = f + eps log, whose
     derivative f'(m) + eps/m absorbs the entropy term).
     """
-    if spec.hamiltonian.family != QUADRATIC and spec.hamiltonian.q != 2.0:
+    if spec.hamiltonian.q != 2.0:
         return CheckResult(
             "displacement_convexity", 0.0, 0.0, 0.0, True, skipped=True,
             reason="non-quadratic-growth Hamiltonian",
@@ -202,8 +202,7 @@ def check_lp_bounds(m: DensityField, spec: ProblemSpec,
 
 def _theta_constant(spec: ProblemSpec) -> float:
     """theta with H_p.p >= (1+2 theta) H - c0 for some c0 (quadratic: 1/2)."""
-    H = spec.hamiltonian
-    return 0.5 if H.family == QUADRATIC else (H.q - 1.0) / 2.0
+    return (spec.hamiltonian.q - 1.0) / 2.0
 
 
 def check_local_gradient_estimate(u: PotentialField, m: DensityField,

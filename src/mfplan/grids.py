@@ -189,7 +189,8 @@ class ProblemSpec:
     Marginals and the potential are cell-sampled; node-sampled companions
     (used by the dual solver's boundary rows) may be supplied when analytic
     expressions are available, otherwise they are filled by interpolation.
-    Marginals are renormalized to unit mass on construction.
+    Marginals must be positive in every cell (the standing hypothesis) and
+    are renormalized to unit mass on construction.
     """
 
     grid: SpaceTimeGrid
@@ -215,12 +216,11 @@ class ProblemSpec:
             object.__setattr__(self, name, v)
         for name in ("m0", "m1"):
             v = getattr(self, name)
+            if not np.all(v > 0.0):
+                raise ValueError(f"{name} must be positive in every cell")
             total = float(np.sum(v) * g.dx)
-            if total > 0:
-                object.__setattr__(self, f"mass_defect_{name}", abs(total - 1.0))
-                object.__setattr__(self, name, _frozen(v / total))
-            else:
-                object.__setattr__(self, name, _frozen(v))
+            object.__setattr__(self, f"mass_defect_{name}", abs(total - 1.0))
+            object.__setattr__(self, name, _frozen(v / total))
         object.__setattr__(self, "V", _frozen(self.V))
         for name in ("m0_nodes", "m1_nodes", "V_nodes"):
             v = getattr(self, name)
@@ -249,8 +249,6 @@ def cells_to_nodes(cells: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    admissible: bool
-    reasons: tuple[str, ...]
     mass_defect_m0: float
     mass_defect_m1: float
     min_density: float
@@ -260,28 +258,15 @@ class ValidationReport:
 
 
 def validate_problem(spec: ProblemSpec) -> ValidationReport:
-    """Check the standing hypotheses: positive marginals, unit mass, finite data."""
+    """Figures of the instance: the mass defects of the data before
+    renormalization, the smallest density and Lipschitz constants.  The
+    hypotheses themselves (positive, finite data) are ProblemSpec's own."""
     g = spec.grid
-    reasons = []
-    min_density = float(min(spec.m0.min(), spec.m1.min()))
-    if min_density <= 0.0:
-        reasons.append("positivity")
-    mass0 = float(np.sum(spec.m0) * g.dx)
-    mass1 = float(np.sum(spec.m1) * g.dx)
-    if abs(mass0 - 1.0) > 1e-12 or abs(mass1 - 1.0) > 1e-12:
-        reasons.append("mass")
-    if min_density > 0.0:
-        lip0 = float(np.max(np.abs(g.diff_x(np.log(spec.m0)))))
-        lip1 = float(np.max(np.abs(g.diff_x(np.log(spec.m1)))))
-    else:
-        lip0 = lip1 = float("inf")
     return ValidationReport(
-        admissible=not reasons,
-        reasons=tuple(reasons),
         mass_defect_m0=spec.mass_defect_m0,
         mass_defect_m1=spec.mass_defect_m1,
-        min_density=min_density,
-        lipschitz_log_m0=lip0,
-        lipschitz_log_m1=lip1,
+        min_density=float(min(spec.m0.min(), spec.m1.min())),
+        lipschitz_log_m0=float(np.max(np.abs(g.diff_x(np.log(spec.m0))))),
+        lipschitz_log_m1=float(np.max(np.abs(g.diff_x(np.log(spec.m1))))),
         lipschitz_V=spec.lipschitz_V,
     )

@@ -2,7 +2,7 @@
 
 Two Hamiltonian families:
 
-* ``quadratic``:  H(p) = scale * p^2 / 2
+* ``quadratic``:  H(p) = scale * p^2 / 2 (q = 2 and varpi = 0 only)
 * ``power``:      H(p) = scale * (p^2 + varpi^2)^(q/2)
 
 For varpi > 0 the power family is C^2 with H_pp comparable to
@@ -20,7 +20,6 @@ itself) is one call of safeguarded_newton.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +46,14 @@ class HamiltonianSpec:
             raise ValueError("growth exponent q must exceed 1")
         if self.varpi < 0.0 or self.scale <= 0.0:
             raise ValueError("need varpi >= 0 and scale > 0")
-        if self.family == QUADRATIC:
-            object.__setattr__(self, "q", 2.0)
+        if self.family == QUADRATIC and (self.q != 2.0 or self.varpi != 0.0):
+            raise ValueError("the quadratic family takes only scale "
+                             "(q = 2, varpi = 0)")
 
     @property
     def smooth(self) -> bool:
-        """C^2 with H_pp bounded away from 0 on compacts (dual solver admissible)."""
-        return self.family == QUADRATIC or self.q == 2.0 or self.varpi > 0.0
+        """C^2 with H_pp bounded away from 0 on compacts (the dual solver needs it)."""
+        return self.q == 2.0 or self.varpi > 0.0
 
 
 def h_eval(H: HamiltonianSpec, p):
@@ -100,38 +100,6 @@ def h_third(H: HamiltonianSpec, p):
         (q - 4) * ((q - 1) * p * p + w2) + 2 * (q - 1) * safe
     )
     return np.where(r2 == 0.0, 0.0, out)
-
-
-@functools.lru_cache(maxsize=None)
-def hpp_envelope(H: HamiltonianSpec) -> tuple[float, float]:
-    """(alpha_H, beta_H) with alpha_H(|p|+varpi)^{q-2} <= H_pp <= beta_H(...)."""
-    if H.family == QUADRATIC:
-        return H.scale, H.scale
-    if H.varpi == 0.0 and H.q != 2.0:
-        raise DegenerateHamiltonianError("no two-sided H_pp envelope for varpi=0")
-    p = np.concatenate([[0.0], np.logspace(-6, 3, 2000)])
-    _, _, hpp = h_eval(H, p)
-    ratio = hpp / (np.abs(p) + H.varpi) ** (H.q - 2.0)
-    return float(ratio.min()), float(ratio.max())
-
-
-@functools.lru_cache(maxsize=None)
-def coercivity_constants(H: HamiltonianSpec) -> tuple[float, float]:
-    """(gamma0, gamma1) with H_p(p)*p - H(p) >= gamma0|p|^q - gamma1 for all p."""
-    if H.family == QUADRATIC:
-        return 0.5 * H.scale, 0.0
-    if H.varpi == 0.0:
-        # H = s|p|^q exactly: H_p p - H = (q-1) s |p|^q
-        return (H.q - 1.0) * H.scale, 0.0
-    # the excess H_p p - H tends to (q-1)s|p|^q at infinity and dips to
-    # -H(0) at p = 0; take half the asymptotic slope and absorb the dip
-    # into gamma1 by dense sampling of the gap on a ray
-    gamma0 = 0.5 * (H.q - 1.0) * H.scale
-    p = np.concatenate([[0.0], np.logspace(-8, 3, 4000)])
-    val, hp, _ = h_eval(H, p)
-    gap = gamma0 * p**H.q - (hp * p - val)
-    gamma1 = max(0.0, float(np.max(gap)))
-    return gamma0, gamma1
 
 
 class SolveError(RuntimeError):
@@ -214,14 +182,12 @@ def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0):
 def legendre_L(H: HamiltonianSpec, v):
     """Fenchel conjugate L(v) = sup_p (p v - H(p)) = p v - H(p) at H_p(p) = v.
 
-    Vectorized; returns a float for scalar v.
+    The p comes from invert_hp (closed form for quadratic H).  Vectorized;
+    returns a float for scalar v.
     """
     v = np.asarray(v, dtype=float)
-    if H.family == QUADRATIC:
-        out = v * v / (2.0 * H.scale)
-    else:
-        p, val, _, _ = invert_hp(H, v)
-        out = p * v - val
+    p, val, _, _ = invert_hp(H, v)
+    out = p * v - val
     return float(out) if out.ndim == 0 else out
 
 
@@ -379,8 +345,6 @@ __all__ = [
     "SolveError",
     "h_eval",
     "h_third",
-    "hpp_envelope",
-    "coercivity_constants",
     "safeguarded_newton",
     "invert_hp",
     "legendre_L",

@@ -209,6 +209,8 @@ def test_malformed_value_named(tmp_path, capsys, key, value, named):
     ("dual.newton_tol", 0.0, "'dual': newton_tol must be positive"),
     ("dual.max_newton_iters", 0, "'dual': max_newton_iters must be at least 1"),
     ("sweep.eps_list", [0.1, -0.1], "'sweep.eps_list': every eps must be >= 0"),
+    ("problem.hamiltonian.q", 3.0, "'problem.hamiltonian': the quadratic family"),
+    ("problem.hamiltonian.varpi", 0.7, "'problem.hamiltonian': the quadratic family"),
 ])
 def test_range_error_names_block(tmp_path, capsys, key, value, message):
     p = _edited(tmp_path, GIBBS_YAML, key, value)
@@ -436,16 +438,17 @@ def test_readme_config_example_parses():
     assert cfg.method == "both" and cfg.spec.grid.n_t == 64
 
 
-def test_verify_runs_all_checks(gibbs_cfg, tmp_path, capsys):
-    p = tmp_path / "nochecks.yaml"
-    p.write_text(GIBBS_YAML.replace(
-        "checks: [energy_identity, duality_gap, maximum_principle_ut]", ""))
-    out = tmp_path / "out"
-    assert run(str(p), "verify", out=str(out)) == EXIT_OK
-    report = json.loads((out / "report.json").read_text())
-    assert len(report["checks"]) == 6
-    text = capsys.readouterr().out
-    assert "PASS" in text
+def test_verify_runs_all_checks(tmp_path, capsys):
+    no_checks = GIBBS_YAML.replace(
+        "checks: [energy_identity, duality_gap, maximum_principle_ut]", "")
+    for n, text in enumerate([no_checks, GIBBS_YAML]):  # GIBBS_YAML lists three
+        p = tmp_path / f"verify{n}.yaml"
+        p.write_text(text)
+        out = tmp_path / f"out{n}"
+        assert run(str(p), "verify", out=str(out)) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["checks"]) == 6
+        assert "PASS" in capsys.readouterr().out
 
 
 def test_sweep(tmp_path, capsys):

