@@ -1,8 +1,9 @@
 """Command-line orchestration: solve, verify, sweep.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 solver
-non-convergence, 3 estimate-check failure.  Outputs (fields.csv, log.json,
-report.json, eps_error.csv) are deterministic: fixed summation order,
+non-convergence, 3 estimate-check failure or a non-finite value in a JSON
+output (written as null).  Outputs (fields.csv, log.json, report.json,
+eps_error.csv) are deterministic: fixed summation order,
 17-significant-digit decimal floats, no timestamps — reruns are
 byte-identical.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,20 +45,35 @@ def _write_fields_csv(path: Path, fields: dict[str, np.ndarray]):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
+def _jsonable(obj, key: str, nonfinite: list[str]):
+    """obj in JSON types; a non-finite float becomes None and its key is
+    appended to nonfinite."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        return {k: _jsonable(v, f"{key}.{k}" if key else k, nonfinite)
+                for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v, f"{key}[{i}]", nonfinite) for i, v in enumerate(obj)]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        nonfinite.append(key)
+        return None
     return obj
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, payload: dict) -> list[str]:
+    """Write strict JSON; name on stderr, and return, the keys whose
+    non-finite values were written as null."""
+    nonfinite: list[str] = []
+    text = json.dumps(_jsonable(payload, "", nonfinite), indent=2,
+                      sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
+    for key in nonfinite:
+        print(f"non-finite value written as null: {path.name} {key}",
+              file=sys.stderr)
+    return nonfinite
 
 
 def _describe(cfg: RunConfig) -> str:
@@ -165,10 +182,10 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
         fields["u_dual"] = u.values
         fields["m_dual"] = m_dual.values
     _write_fields_csv(outdir / "fields.csv", fields)
-    _write_json(outdir / "log.json", log_payload)
+    nonfinite = _write_json(outdir / "log.json", log_payload)
 
     checks = _run_checks(cfg, primal_state, u, m_dual)
-    _write_json(outdir / "report.json", {
+    nonfinite += _write_json(outdir / "report.json", {
         "checks": [dataclasses.asdict(c) for c in checks],
         "validation": dataclasses.asdict(report),
     })
@@ -176,7 +193,7 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
         status = "SKIP" if c.skipped else ("PASS" if c.passed else "FAIL")
         print(f"{status} {c.name}: lhs={_fmt(c.lhs)} rhs={_fmt(c.rhs)} "
               f"tol={_fmt(c.tolerance)}")
-    if any(not c.passed and not c.skipped for c in checks):
+    if any(not c.passed and not c.skipped for c in checks) or nonfinite:
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -198,7 +215,7 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
     for eps, err in zip(sweep.eps_list, sweep.errors):
         lines.append(f"{_fmt(eps)},{_fmt(err)}")
     (outdir / "eps_error.csv").write_text("\n".join(lines) + "\n")
-    _write_json(outdir / "report.json", {
+    nonfinite = _write_json(outdir / "report.json", {
         "sweep": dataclasses.asdict(sweep),
     })
     if not all(sweep.converged):
@@ -206,6 +223,8 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
         return EXIT_NOT_CONVERGED
     if not sweep.passed:
         print("sweep error profile is not monotone", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    if nonfinite:
         return EXIT_CHECK_FAILED
     print("sweep: monotone nonincreasing error profile")
     return EXIT_OK

@@ -111,6 +111,7 @@ def prox_block(
     V: np.ndarray,
     hamiltonian: HamiltonianSpec,
     coupling: CouplingSpec,
+    m_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized prox of the cell integrand for any radial H.
 
@@ -121,6 +122,13 @@ def prox_block(
     gradient _reduced_gradient, solved by safeguarded Newton: in y = log m
     when the entropy keeps the minimizer interior, in m itself otherwise.
     The KKT residual is at most 1e-11*max(1, |V| + |mbar|/sigma + H(wbar/sigma)).
+
+    Newton starts at m_start, a guess of the minimizer (in a splitting
+    loop, the previous iteration's output), clipped into the bracket; in
+    the corner case a free cell whose m_start is not strictly inside
+    (0, m_hi) starts at m_hi/2.  With m_start=None it starts at mbar, or at
+    m_hi/2 in the corner case.  The start changes the answer only within
+    the tolerance.
     """
     mbar, wbar, V = (np.array(np.broadcast_to(a, np.shape(mbar)), dtype=float)
                      for a in (mbar, wbar, V))
@@ -142,7 +150,10 @@ def prox_block(
         coupling.f_family == "log" and coupling.f_params[0] > 0.0
     ):
         hi = np.log(m_hi)
-        y0 = np.minimum(np.log(np.maximum(mbar, 1e-12)), hi)
+        if m_start is None:
+            y0 = np.minimum(np.log(np.maximum(mbar, 1e-12)), hi)
+        else:
+            y0 = np.clip(np.log(np.maximum(np.ravel(m_start), 1e-300)), -745.0, hi)
         # exp underflows below -746, where the gradient is -inf
         m = np.exp(safeguarded_newton(in_log, y0, -746.0, hi, tol))
     else:
@@ -158,8 +169,11 @@ def prox_block(
                 m, mbar[cells], wbar[cells], sigma, V[cells], hamiltonian, coupling)
             return g, curv
 
-        m[free] = safeguarded_newton(in_m, 0.5 * m_hi[free], 0.0, m_hi[free],
-                                     tol[free])
+        m0 = 0.5 * m_hi[free]
+        if m_start is not None:
+            prev = np.ravel(m_start)[free]
+            m0 = np.where((prev > 0.0) & (prev < m_hi[free]), prev, m0)
+        m[free] = safeguarded_newton(in_m, m0, 0.0, m_hi[free], tol[free])
     return m.reshape(shape), (m * vel).reshape(shape)
 
 

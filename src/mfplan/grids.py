@@ -225,7 +225,9 @@ class ProblemSpec:
         for name in ("m0_nodes", "m1_nodes", "V_nodes"):
             v = getattr(self, name)
             if v is None:
-                v = cells_to_nodes(getattr(self, name[:-6]), g)
+                # a density keeps its sign at the ends; V may be negative
+                v = cells_to_nodes(getattr(self, name[:-6]), g,
+                                   positive=name != "V_nodes")
             else:
                 v = np.asarray(v, dtype=float)
                 if v.shape != (g.n_xnodes,):
@@ -237,13 +239,22 @@ class ProblemSpec:
         return float(np.max(np.abs(self.grid.diff_x(self.V))))
 
 
-def cells_to_nodes(cells: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Second-order interpolation of cell values to cell edges (last axis)."""
+def cells_to_nodes(cells: np.ndarray, grid: SpaceTimeGrid,
+                   positive: bool = False) -> np.ndarray:
+    """Second-order interpolation of cell values to cell edges (last axis).
+
+    The end nodes of an interval are extrapolated from the two nearest
+    cells: linearly, 1.5 c0 - 0.5 c1, or with positive=True linearly in
+    log space, c0^1.5 c1^-0.5, which keeps positive data positive.
+    """
     if grid.periodic:
         return 0.5 * (cells + np.roll(cells, 1, axis=-1))
     inner = 0.5 * (cells[..., 1:] + cells[..., :-1])
-    left = 1.5 * cells[..., :1] - 0.5 * cells[..., 1:2]
-    right = 1.5 * cells[..., -1:] - 0.5 * cells[..., -2:-1]
+    ends = [(cells[..., :1], cells[..., 1:2]), (cells[..., -1:], cells[..., -2:-1])]
+    if positive:
+        left, right = (c0 * np.sqrt(c0 / c1) for c0, c1 in ends)
+    else:
+        left, right = (1.5 * c0 - 0.5 * c1 for c0, c1 in ends)
     return np.concatenate([left, inner, right], axis=-1)
 
 

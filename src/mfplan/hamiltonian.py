@@ -160,7 +160,7 @@ def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0):
         p = rhs / (sigma + H.scale * m)
         return (p, *_h_eval(H, p))
     a = np.abs(rhs)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         reach = H.varpi + (2.0 * a / (m * H.scale * H.q)) ** (1.0 / (H.q - 1.0))
         if sigma > 0.0:
             reach = np.minimum(reach, a / sigma)

@@ -176,6 +176,7 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     sU, sV = U.copy(), Vc.copy()
 
     log = PrimalLog()
+    mY = None  # the first prox starts cold, later ones at the previous output
     for it in range(1, cfg.max_iters + 1):
         yU = ops.project(sU, d)
         mbar = sV[: nt * nx].reshape(nt, nx)
@@ -183,7 +184,7 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
         # the uniform dt*dx weight does not move the minimizer, so the
         # iteration minimizes the unweighted cell sum (better-scaled prox)
         mY, wY = prox_block(
-            mbar, wbar, SIGMA, spec.V, spec.hamiltonian, spec.coupling,
+            mbar, wbar, SIGMA, spec.V, spec.hamiltonian, spec.coupling, mY,
         )
         yV = np.concatenate([mY.ravel(), wY.ravel()])
 

@@ -375,10 +375,51 @@ def test_non_finite_primal_residual_exit(gibbs_cfg, tmp_path, capsys, monkeypatc
     out = tmp_path / "o"
     assert main(["solve", "--config", str(gibbs_cfg), "--method", "primal",
                  "--out", str(out)]) == EXIT_NOT_CONVERGED
-    primal = json.loads((out / "log.json").read_text())["primal"]
+    primal = _strict_json(out / "log.json")["primal"]
     assert not primal["converged"] and primal["iters"] <= 3
     assert "non-finite" in primal["reason"]
-    assert "non-finite" in capsys.readouterr().err
+    assert primal["final_value"] is None
+    err = capsys.readouterr().err
+    assert "non-finite value written as null: log.json primal.final_value" in err
+    assert "non-finite fixed-point residual" in err
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_non_finite_output_value_exits_3(gibbs_cfg, tmp_path, capsys, monkeypatch):
+    # a run that would succeed fails once a JSON value is not finite
+    monkeypatch.setattr("mfplan.dual._sup_bound_rhs", lambda spec: float("nan"))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(gibbs_cfg), "--method", "dual",
+                 "--out", str(out)]) == EXIT_CHECK_FAILED
+    stages = _strict_json(out / "log.json")["dual"]["stages"]
+    assert all(s["sup_bound_rhs"] is None for s in stages)
+    assert "log.json dual.stages[0].sup_bound_rhs" in capsys.readouterr().err
+
+
+def test_csv_marginal_end_nodes_stay_positive(tmp_path):
+    # linear extrapolation to the end node, 1.5*1 - 0.5*5, made this
+    # marginal negative there and the dual's sup bound NaN
+    n = 16
+    (tmp_path / "m.csv").write_text("\n".join(["1"] + ["5"] * (n - 1)))
+    p = tmp_path / "csv.yaml"
+    p.write_text(f"""\
+grid: {{t_horizon: 1.0, x_min: 0.0, x_max: 1.0, n_t: {n}, n_x: {n}}}
+problem:
+  coupling: {{epsilon: 0.5}}
+  m0: {{family: csv, path: m.csv}}
+  m1: {{family: csv, path: m.csv}}
+""")
+    assert np.all(load_config(p).spec.m0_nodes > 0.0)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(p), "--method", "dual",
+                 "--out", str(out)]) == EXIT_OK
+    stages = _strict_json(out / "log.json")["dual"]["stages"]
+    assert all(np.isfinite(s["sup_bound_rhs"]) for s in stages)
 
 
 def _python(*args, check=True):

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from mfplan import functional
 from mfplan.functional import (
     PrimalState,
     center_density,
@@ -288,6 +289,64 @@ def test_prox_block_matches_scalar(rng):
             # block and scalar paths stop at slightly different Newton states
             assert abs(m[k, i] - ms) <= 1e-9
             assert abs(w[k, i] - ws) <= 1e-9
+
+
+# the log branch through the entropy and through a log coupling, and the
+# eps = 0 corner branch
+WARM_COUPLINGS = [
+    C_ENT,
+    CouplingSpec(epsilon=0.0, f_family="log", f_params=(0.3,)),
+    CouplingSpec(epsilon=0.0, f_family="power", f_params=(0.5, 2.0)),
+]
+
+
+def _prox_inputs(rng, n=60):
+    return (rng.uniform(-1.0, 4.0, n), rng.uniform(-3.0, 3.0, n),
+            rng.uniform(-1.0, 1.0, n))
+
+
+def _count_grad_evals(monkeypatch) -> list:
+    evals = []
+    reduced_gradient = functional._reduced_gradient
+
+    def counted(*args):
+        evals.append(1)
+        return reduced_gradient(*args)
+
+    monkeypatch.setattr(functional, "_reduced_gradient", counted)
+    return evals
+
+
+@pytest.mark.parametrize("coupling", WARM_COUPLINGS)
+@pytest.mark.parametrize("H", EVERY_H[:2])
+def test_prox_warm_start_at_output_converges_at_once(coupling, H, rng, monkeypatch):
+    mbar, wbar, V = _prox_inputs(rng)
+    m, w = prox_block(mbar, wbar, 0.7, V, H, coupling)
+    evals = _count_grad_evals(monkeypatch)
+    m_warm, w_warm = prox_block(mbar, wbar, 0.7, V, H, coupling, m)
+    assert len(evals) == 1
+    np.testing.assert_allclose(m_warm, m, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(w_warm, w, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("coupling", WARM_COUPLINGS)
+def test_prox_warm_start_matches_cold(coupling, rng):
+    # zero, tiny, large and beyond-the-bracket starts.  The reduced objective
+    # has curvature >= 1/sigma, so two points that both meet the KKT bound of
+    # test_prox_kkt_residual lie within 2 sigma times that bound of each other
+    sigma = 0.7
+    mbar, wbar, V = _prox_inputs(rng)
+    starts = np.resize([0.0, 1e-300, 1e-12, 1e3, 1e6, 1e300, np.inf], mbar.size)
+    kkt = 1e-9 * np.maximum(1.0, np.abs(V) + np.abs(mbar) / sigma
+                            + wbar**2 / sigma**2)
+    for H in EVERY_H:
+        m_cold, _ = prox_block(mbar, wbar, sigma, V, H, coupling)
+        m, w = prox_block(mbar, wbar, sigma, V, H, coupling, starts)
+        assert np.all(np.abs(m - m_cold) <= 2.0 * sigma * kkt), H
+        assert np.array_equal(m == 0.0, m_cold == 0.0), H
+        for k in range(m.size):
+            hp = _h_and_hp(H, (wbar[k] - w[k]) / sigma)[1]
+            assert w[k] == pytest.approx(m[k] * hp, abs=1e-10), H
 
 
 def test_prox_firm_nonexpansive(rng):

@@ -176,6 +176,22 @@ def test_marginals_renormalized_on_ingestion():
     assert spec.mass_defect_m0 == pytest.approx(2.0)
 
 
+def test_interpolated_end_nodes():
+    # on an interval the marginals' end nodes are extrapolated linearly in
+    # log space (exact for exponential data, positive for positive data),
+    # the potential's linearly (exact for affine data, of any sign)
+    g = SpaceTimeGrid(1.0, 0.0, 1.0, 4, 8)
+    x_c, x_n = g.x_cells(), g.x_nodes()
+    spec = ProblemSpec(g, np.exp(3.0 * x_c), np.array([1.0] + [5.0] * 7),
+                       2.0 - 4.0 * x_c, H, C)
+    scale = np.sum(np.exp(3.0 * x_c)) * g.dx
+    ends = [0, -1]
+    assert np.allclose(spec.m0_nodes[ends] * scale, np.exp(3.0 * x_n[ends]),
+                       rtol=1e-12)
+    assert np.all(spec.m1_nodes > 0.0)
+    assert np.allclose(spec.V_nodes, 2.0 - 4.0 * x_n, rtol=0.0, atol=1e-14)
+
+
 def test_fields_immutable():
     g = SpaceTimeGrid(1.0, 0.0, 1.0, 4, 8)
     f = DensityField(g, np.ones((5, 8)))

@@ -16,14 +16,19 @@ from mfplan.grids import (
     mass,
 )
 from mfplan.hamiltonian import CouplingSpec, HamiltonianSpec
-from mfplan import primal
+from mfplan import functional, primal
 from mfplan.primal import (
     PrimalConfig,
     project_continuity,
     solve_primal,
 )
 
-from conftest import build_spec, gaussian_with_floor, make_gibbs_spec
+from conftest import (
+    build_spec,
+    gaussian_with_floor,
+    make_congestion_spec,
+    make_gibbs_spec,
+)
 
 QUAD_H = HamiltonianSpec()
 
@@ -319,3 +324,30 @@ def test_value_evaluated_once(monkeypatch):
     assert log.converged and log.iters > 1
     assert len(calls) == 1
     assert log.final_value == pytest.approx(functional_value(state, spec), rel=1e-6)
+
+
+def test_prox_warm_started_from_previous_iterate(monkeypatch):
+    # from iteration 2 on, the cell prox starts at the previous output: far
+    # fewer Newton evaluations per call than cold (10 at 128^2), and the
+    # same DR iterations as a run whose every prox starts cold
+    spec = make_congestion_spec(32)
+    prox_block, reduced_gradient = primal.prox_block, functional._reduced_gradient
+    evals, calls = [], []
+
+    def counted_grad(*args):
+        evals.append(1)
+        return reduced_gradient(*args)
+
+    def counted_prox(*args):
+        calls.append(1)
+        return prox_block(*args)
+
+    monkeypatch.setattr(functional, "_reduced_gradient", counted_grad)
+    monkeypatch.setattr(primal, "prox_block", counted_prox)
+    _, warm = solve_primal(spec)
+    assert warm.converged
+    assert len(evals) <= 3.5 * len(calls)
+
+    monkeypatch.setattr(primal, "prox_block", lambda *args: prox_block(*args[:6]))
+    _, cold = solve_primal(spec)
+    assert cold.converged and cold.iters == warm.iters
