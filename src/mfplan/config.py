@@ -26,18 +26,12 @@ import numpy as np
 import yaml
 
 from .dual import DualConfig
+from .estimates import CHECKS
 from .grids import ProblemSpec, SpaceTimeGrid
 from .hamiltonian import CouplingSpec, HamiltonianSpec
 from .primal import PrimalConfig
 
-KNOWN_CHECKS = (
-    "displacement_convexity",
-    "lp_bounds",
-    "local_gradient_estimate",
-    "energy_identity",
-    "duality_gap",
-    "maximum_principle_ut",
-)
+KNOWN_CHECKS = tuple(CHECKS)
 REQUIRED = object()  # schema default of a name that must be present
 
 
@@ -138,6 +132,8 @@ def _checks(value, key: str) -> tuple[str, ...]:
     for i, name in enumerate(names):
         if name not in KNOWN_CHECKS:
             raise ConfigError(f"{key}[{i}]", f"unknown check {name!r}")
+        if name in names[:i]:
+            raise ConfigError(f"{key}[{i}]", f"repeated check {name!r}")
     return names
 
 

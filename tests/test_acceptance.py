@@ -129,7 +129,7 @@ def test_criterion_4_displacement_convexity(solves, report):
         for n in (n0, n1):
             spec = solves.spec(name, n)
             u, m, _ = solves.dual(name, n)
-            res = check_displacement_convexity(m, u, spec)
+            res = check_displacement_convexity(u, m, spec)
             ok = ok and res.passed and not res.skipped
             viols.append(res.details["max_violation"])
         shrink = viols[1] <= max(0.55 * viols[0], 1e-10)
@@ -146,9 +146,9 @@ def test_criterion_5_ut_max_principle(solves, report):
     for name in BENCH_NAMES:
         for n in (32, 64):
             spec = solves.spec(name, n)
-            u, _, dlog = solves.dual(name, n)
+            u, m, dlog = solves.dual(name, n)
             assert dlog.stages[-1]["residual"] <= NEWTON_TOL
-            res = check_ut_max_principle(u, spec)
+            res = check_ut_max_principle(u, m, spec)
             ok = ok and res.passed
         details.append(f"{name}: lhs={res.lhs:.3f} rhs+slack="
                        f"{res.rhs + res.tolerance:.3f}")
@@ -164,8 +164,8 @@ def test_criterion_6_lp_machinery(solves, report):
     k1_ok = True
     for n in (32, 64, 128):
         spec = solves.spec("congestion", n)
-        _, m, _ = solves.dual("congestion", n)
-        res = check_lp_bounds(m, spec)
+        u, m, _ = solves.dual("congestion", n)
+        res = check_lp_bounds(u, m, spec)
         for p in k0:
             entry = res.details[p]
             k0[p].append(entry["K0"])

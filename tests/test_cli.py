@@ -19,7 +19,7 @@ from mfplan.cli import (
     main,
     run,
 )
-from mfplan.config import ConfigError, load_config, parse_config
+from mfplan.config import KNOWN_CHECKS, ConfigError, load_config, parse_config
 from mfplan.dual import DualConfig
 from mfplan.hamiltonian import KernelSolveError
 
@@ -197,6 +197,7 @@ INF, NAN = float("inf"), float("nan")
     ("problem.coupling.epsilon", NAN, "problem.coupling.epsilon"),
     ("problem.m1", {"family": "bump", "width": NAN}, "problem.m1.width"),
     ("problem.m1", {"family": "gaussian", "mean": INF}, "problem.m1.mean"),
+    ("checks", ["lp_bounds", "energy_identity", "lp_bounds"], "checks[2]"),
 ])
 def test_malformed_value_named(tmp_path, capsys, key, value, named):
     p = _edited(tmp_path, GIBBS_CONFIG.read_text(), key, value)
@@ -489,6 +490,8 @@ def test_verify_runs_all_checks(tmp_path, capsys):
         assert run(str(p), "verify", out=str(out)) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert len(report["checks"]) == 6
+        # each result is named by its table key, in the table's order
+        assert tuple(c["name"] for c in report["checks"]) == KNOWN_CHECKS
         assert "PASS" in capsys.readouterr().out
 
 
