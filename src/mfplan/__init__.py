@@ -10,7 +10,7 @@ Two independent routes to the same optimum:
 plus numerical checks of the associated a-priori estimates (``estimates``)
 and a config-driven CLI (``cli``).
 """
-from .dual import DualConfig, assemble_jacobian, assemble_residual, m_from_u, solve_dual
+from .dual import assemble_jacobian, assemble_residual, m_from_u, solve_dual
 from .functional import PrimalState, continuity_residual, functional_value, prox_cell
 from .grids import (
     DensityField,
@@ -35,8 +35,7 @@ __all__ = [
     "HamiltonianSpec", "CouplingSpec", "h_eval", "legendre_L",
     "PrimalState", "functional_value", "continuity_residual", "prox_cell",
     "PrimalConfig", "solve_primal",
-    "DualConfig", "assemble_residual", "assemble_jacobian",
-    "m_from_u", "solve_dual",
+    "assemble_residual", "assemble_jacobian", "m_from_u", "solve_dual",
 ]
 
 __version__ = "0.1.0"

@@ -119,6 +119,12 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
         cfg = load_config(config_path)
         if method is not None:
             cfg = dataclasses.replace(cfg, method=method)
+        # refused before --dry-run returns and before --out is made
+        if verb == "sweep" and not cfg.sweep_eps:
+            raise ConfigError("sweep.eps_list", "missing required key")
+        if verb == "sweep" and cfg.spec.coupling.f_family != "zero":
+            raise ConfigError("problem.coupling.f_family",
+                              "the eps sweep requires the zero coupling family")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -152,7 +158,7 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
             return EXIT_NOT_CONVERGED
     if cfg.method in ("dual", "both"):
         try:
-            u, m_dual, dual_log = solve_dual(cfg.spec, cfg.dual)
+            u, m_dual, dual_log = solve_dual(cfg.spec)
         except SolveError as exc:
             print(f"dual solve failed: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED
@@ -183,14 +189,6 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
 
 
 def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
-    if not cfg.sweep_eps:
-        print("error: config key 'sweep.eps_list': missing required key",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if cfg.spec.coupling.f_family != "zero":
-        print("error: config key 'problem.coupling.f_family': the eps sweep "
-              "requires the zero coupling family", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         sweep = estimates.eps_sweep(cfg.spec, cfg.sweep_eps, cfg.primal)
     except SolveError as exc:

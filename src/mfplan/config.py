@@ -13,7 +13,10 @@ Marginals and potentials are sampled both at cell centers and at cell
 edges (nodes).  The two samplings share a single normalization constant,
 the cell-sum one, so that closed-form relations like
 log m = -V/eps - log Z hold exactly at the nodes as well; the dual
-solver's boundary rows depend on that.
+solver's boundary rows depend on that.  Each family is sampled once, and a
+mixture normalizes each component once.  csv marginals have no nodes and
+reach the ProblemSpec as given, which normalizes them and records their
+mass defect.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .dual import DualConfig
 from .estimates import CHECKS
 from .grids import ProblemSpec, SpaceTimeGrid
 from .hamiltonian import CouplingSpec, HamiltonianSpec
@@ -46,7 +48,6 @@ class RunConfig:
     spec: ProblemSpec
     method: str = "both"
     primal: PrimalConfig = dc_field(default_factory=PrimalConfig)
-    dual: DualConfig = dc_field(default_factory=DualConfig)
     checks: tuple[str, ...] = ()
     sweep_eps: tuple[float, ...] = ()
     output_dir: str = "out"
@@ -162,12 +163,7 @@ _COUPLING = _settings(CouplingSpec, {
     "epsilon": (_finite, None), "f_family": (_string, None),
     "f_params": (_floats, None),
 })
-_PRIMAL = _settings(PrimalConfig, {
-    "tol_kkt": (_finite, None), "max_iters": (_integer, None),
-})
-_DUAL = _settings(DualConfig, {
-    "newton_tol": (_finite, None), "max_newton_iters": (_integer, None),
-})
+_PRIMAL = _settings(PrimalConfig, {"tol_kkt": (_finite, None)})
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +235,10 @@ def potential_on_grid(block: dict, grid: SpaceTimeGrid, key: str = "potential",
 
 
 def _marginal(block, key: str, grid: SpaceTimeGrid, V: tuple, epsilon: float,
-              base_dir: Path):
-    """Unnormalized density of a marginal block, as a function of the
-    sampling s (0 the cells, 1 the nodes) that gives None where the block
-    has no values: csv marginals and gibbs ones over a csv potential have
-    none at the nodes."""
+              base_dir: Path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Unnormalized (cells, nodes) sampling of a marginal block; the nodes
+    are None where the block has no values there: csv marginals and gibbs
+    ones over a csv potential.  A mixture normalizes each component once."""
     mid, L = 0.5 * (grid.x_min + grid.x_max), grid.length
     family, p = _family(block, key, {
         "uniform": {},
@@ -255,40 +250,38 @@ def _marginal(block, key: str, grid: SpaceTimeGrid, V: tuple, epsilon: float,
                     "weights": (_floats, REQUIRED)},
         "csv": _csv_table(base_dir),
     })
-    x = (grid.x_cells(), grid.x_nodes())
     for name in ("std", "width"):
         if name in p and p[name] <= 0:
             raise ConfigError(f"{key}.{name}", "must be positive")
-    if family == "uniform":
-        return lambda s: np.ones_like(x[s])
-    if family == "gaussian":
-        return lambda s: np.exp(-0.5 * ((x[s] - p["mean"]) / p["std"]) ** 2)
+    if family == "csv":
+        return _cell_values(p, key, grid.n_x), None
     if family == "gibbs":
         if epsilon <= 0:
             raise ConfigError(key, "gibbs marginal requires coupling.epsilon > 0")
-        return lambda s: None if V[s] is None else np.exp(-V[s] / epsilon)
-    if family == "bump":
-        return lambda s: np.exp(
-            -0.5 * (_torus_dist(x[s], p["center"], grid) / p["width"]) ** 2
+        return tuple(None if v is None else np.exp(-v / epsilon) for v in V)
+    if family == "mixture":
+        weights = p["weights"]
+        if len(weights) != len(p["components"]) or min(weights, default=0.0) < 0:
+            raise ConfigError(f"{key}.weights", "need one weight >= 0 per component")
+        parts = [_marginal(c, f"{key}.components[{i}]", grid, V, epsilon, base_dir)
+                 for i, c in enumerate(p["components"])]
+        cells = np.zeros(grid.n_x)
+        nodes = None if any(n is None for _, n in parts) else np.zeros(grid.n_xnodes)
+        for wgt, (c, n) in zip(weights, parts):
+            Z = np.sum(c * grid.dx)
+            cells += wgt * c / Z
+            if nodes is not None:
+                nodes += wgt * n / Z
+        return cells, nodes
+    if family == "uniform":
+        fn = np.ones_like
+    elif family == "gaussian":
+        fn = lambda x: np.exp(-0.5 * ((x - p["mean"]) / p["std"]) ** 2)
+    else:
+        fn = lambda x: np.exp(
+            -0.5 * (_torus_dist(x, p["center"], grid) / p["width"]) ** 2
         ) + p["floor"]
-    if family == "csv":
-        values = _cell_values(p, key, grid.n_x)
-        return lambda s: None if s else values
-    weights = p["weights"]
-    if len(weights) != len(p["components"]) or min(weights, default=0.0) < 0:
-        raise ConfigError(f"{key}.weights", "need one weight >= 0 per component")
-    parts = [_marginal(c, f"{key}.components[{i}]", grid, V, epsilon, base_dir)
-             for i, c in enumerate(p["components"])]
-
-    def mixture(s):
-        raws = [part(s) for part in parts]
-        if any(raw is None for raw in raws):
-            return None
-        total = np.zeros_like(x[s])
-        for wgt, raw, part in zip(weights, raws, parts):
-            total += wgt * raw / np.sum(part(0) * grid.dx)
-        return total
-    return mixture
+    return fn(grid.x_cells()), fn(grid.x_nodes())
 
 
 def marginal_on_grid(block: dict, grid: SpaceTimeGrid, V_cells: np.ndarray,
@@ -296,13 +289,16 @@ def marginal_on_grid(block: dict, grid: SpaceTimeGrid, V_cells: np.ndarray,
                      key: str = "marginal", base_dir: Path | str = "."
                      ) -> tuple[np.ndarray, np.ndarray | None]:
     """(cells, nodes) sampling of a marginal block, sharing one normalizer;
-    the nodes are None where the ProblemSpec is to interpolate them."""
-    raw = _marginal(block, key, grid, (V_cells, V_nodes), epsilon, Path(base_dir))
-    cells = raw(0)
+    the nodes are None where the ProblemSpec is to interpolate them.  csv
+    values are passed on as given, so that the ProblemSpec, which
+    normalizes them, records their mass defect."""
+    cells, nodes = _marginal(block, key, grid, (V_cells, V_nodes), epsilon,
+                             Path(base_dir))
     Z = float(np.sum(cells) * grid.dx)
     if Z <= 0 or not np.all(np.isfinite(cells)) or np.any(cells <= 0):
         raise ConfigError(key, "the density is not strictly positive")
-    nodes = raw(1)
+    if block["family"] == "csv":
+        return cells, None
     return cells / Z, None if nodes is None else nodes / Z
 
 
@@ -313,7 +309,7 @@ def marginal_on_grid(block: dict, grid: SpaceTimeGrid, V_cells: np.ndarray,
 def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     top = _read(raw, "", {
         "grid": (_GRID, REQUIRED), "problem": (_mapping, REQUIRED),
-        "method": (_string, None), "primal": (_PRIMAL, {}), "dual": (_DUAL, {}),
+        "method": (_string, None), "primal": (_PRIMAL, {}),
         "checks": (_checks, None), "sweep": (_mapping, {}),
         "output_dir": (_string, None),
     })

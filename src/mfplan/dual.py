@@ -24,7 +24,10 @@ dR/dkappa and one row it is nonsingular, and each Newton step takes one
 sparse solve of the bordered system.  Damped Newton runs by nested
 iteration (Briggs, Henson & McCormick, A Multigrid Tutorial, SIAM 2000):
 from u = 0 on the coarsest mesh, then from the bilinear interpolant of
-each level's solution on the mesh with twice the cells.
+each level's solution on the mesh with twice the cells.  Every level is
+solved to the same max-norm residual NEWTON_TOL in at most
+MAX_NEWTON_ITERS steps (Kelley, Solving Nonlinear Equations with Newton's
+Method, SIAM 2003); both are constants, not settings.
 
 The first derivatives are the grid's node stencils diff_t_nodes and
 diff_x_nodes (one-sided second order at t in {0, T} and on the lateral
@@ -48,24 +51,14 @@ from .hamiltonian import SolveError, h_eval, h_third
 
 
 MIN_LEVEL_CELLS = 16  # per axis, on the coarsest mesh of the nested solve
+NEWTON_TOL = 1e-10  # max-norm residual at which Newton stops on a level
+MAX_NEWTON_ITERS = 50  # Newton steps per level
 STEP_TOL = 1e-13  # Newton stops once a damped step moves no entry by more
 
 
 class DualSolveError(SolveError):
     """The dual solver refused the instance, or damped Newton failed on one
     level of the nested solve."""
-
-
-@dataclass(frozen=True)
-class DualConfig:
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 50
-
-    def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -255,7 +248,7 @@ def _newton_step(z, R, spec, e, ell) -> np.ndarray:
     return step
 
 
-def _newton_stage(z, spec, cfg: DualConfig):
+def _newton_stage(z, spec):
     """Damped Newton from z = (u, kappa) shifted into the gauge; returns
     (z, iters, residual), or raises DualSolveError naming the mesh."""
     g = spec.grid
@@ -269,7 +262,7 @@ def _newton_stage(z, spec, cfg: DualConfig):
     R = residual(z)
     rnorm = float(np.max(np.abs(R)))
     it = 0
-    while rnorm > cfg.newton_tol and it < cfg.max_newton_iters:
+    while rnorm > NEWTON_TOL and it < MAX_NEWTON_ITERS:
         step = _newton_step(z, R, spec, e, ell)
         t = 1.0
         for _ in range(30):
@@ -287,7 +280,7 @@ def _newton_stage(z, spec, cfg: DualConfig):
         it += 1
         if t * float(np.max(np.abs(step))) <= STEP_TOL:
             break
-    if rnorm > cfg.newton_tol:
+    if rnorm > NEWTON_TOL:
         raise DualSolveError(
             f"Newton stagnated on the {g.n_t}x{g.n_x} level; residual {rnorm:.3e}")
     return z, it, rnorm
@@ -319,7 +312,7 @@ def _prolong(u: np.ndarray, periodic: bool) -> np.ndarray:
     return u
 
 
-def solve_dual(spec: ProblemSpec, cfg: DualConfig | None = None):
+def solve_dual(spec: ProblemSpec):
     """Nested-mesh damped Newton solve of the gauge-pinned potential system.
 
     Returns (u: PotentialField, m: DensityField, DualLog) with u in the gauge
@@ -327,14 +320,13 @@ def solve_dual(spec: ProblemSpec, cfg: DualConfig | None = None):
     eps <= 0 or naming the mesh level on which Newton failed.
     """
     _require_smooth(spec)
-    cfg = cfg or DualConfig()
     log = DualLog()
     u, kappa = None, 0.0
     for lvl in _levels(spec):
         g = lvl.grid
         u = np.zeros((g.n_t + 1, g.n_xnodes)) if u is None else _prolong(u, g.periodic)
         # kappa carries over from the coarser level
-        z, iters, resid = _newton_stage(np.append(u, kappa), lvl, cfg)
+        z, iters, resid = _newton_stage(np.append(u, kappa), lvl)
         u, kappa = z[:-1].reshape(g.n_t + 1, -1), float(z[-1])
         log.stages.append({
             "n_t": g.n_t,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import primal
 from .functional import PrimalState, functional_value
 from .grids import (DensityField, MomentumField, PotentialField, ProblemSpec,
                     SpaceTimeGrid, cells_to_nodes)
@@ -427,8 +428,6 @@ def eps_sweep(spec: ProblemSpec, eps_list, cfg=None) -> SweepReport:
     e(eps) = max_t L1 distance between the solve and the displacement
     interpolation; passes iff e is nonincreasing down to the floor 0.25*dx.
     """
-    from .primal import PrimalConfig, solve_primal
-
     if spec.coupling.f_family != "zero":
         raise ValueError("the eps sweep requires the zero coupling family")
     g = spec.grid
@@ -438,7 +437,7 @@ def eps_sweep(spec: ProblemSpec, eps_list, cfg=None) -> SweepReport:
         spec_eps = dataclasses.replace(
             spec, coupling=dataclasses.replace(spec.coupling, epsilon=float(eps))
         )
-        state, log = solve_primal(spec_eps, cfg or PrimalConfig())
+        state, log = primal.solve_primal(spec_eps, cfg)
         err = float(np.max(np.sum(np.abs(state.m.values - oracle.values), axis=1)
                            * g.dx))
         errors.append(err)

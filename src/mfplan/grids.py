@@ -81,17 +81,11 @@ class SpaceTimeGrid:
     def t_nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_t + 1)
 
-    def t_cells(self) -> np.ndarray:
-        return (np.arange(self.n_t) + 0.5) * self.dt
-
     def x_cells(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n_x) + 0.5) * self.dx
 
-    def x_faces(self) -> np.ndarray:
-        return self.x_min + np.arange(self.n_faces) * self.dx
-
     def x_nodes(self) -> np.ndarray:
-        return self.x_faces()
+        return self.x_min + np.arange(self.n_xnodes) * self.dx
 
     # the two edge -> cell stencils along the last axis; on the torus the
     # right edge of the last cell is edge 0

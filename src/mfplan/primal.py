@@ -10,10 +10,11 @@ Vc = (Mc, Wc):
 * G2(U, Vc) = indicator{Vc = A U + b}
   — projection onto the graph of the averaging A (cached LU of I + A^T A).
 
-The step SIGMA and the over-relaxation THETA are fixed.  The iteration
-keeps the output continuity-feasible at every step and stops on the
-fixed-point increment; the functional value, non-monotone under splitting,
-is evaluated once, at the last prox output.
+The step SIGMA, the over-relaxation THETA and the iteration cap MAX_ITERS
+are fixed; the one setting, PrimalConfig.tol_kkt, is the fixed-point
+tolerance.  The iteration keeps the output continuity-feasible at every
+step and stops on the fixed-point increment; the functional value,
+non-monotone under splitting, is evaluated once, at the last prox output.
 """
 from __future__ import annotations
 
@@ -36,18 +37,16 @@ from .grids import (
 
 SIGMA = 1.0  # prox step
 THETA = 1.8  # over-relaxation, in [1, 2)
+MAX_ITERS = 50000  # DR iterations before the solve is reported unconverged
 
 
 @dataclass(frozen=True)
 class PrimalConfig:
     tol_kkt: float = 1e-6
-    max_iters: int = 50000
 
     def __post_init__(self):
         if self.tol_kkt <= 0:
             raise ValueError("tol_kkt must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -177,7 +176,7 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
 
     log = PrimalLog()
     mY = None  # the first prox starts cold, later ones at the previous output
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         yU = ops.project(sU, d)
         mbar = sV[: nt * nx].reshape(nt, nx)
         wbar = sV[nt * nx :].reshape(nt, nx)
@@ -207,7 +206,7 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
             log.reason = f"non-finite fixed-point residual at iteration {it}"
             break
     else:
-        log.reason = f"max_iters ({cfg.max_iters}) reached"
+        log.reason = f"max_iters ({MAX_ITERS}) reached"
 
     state = ops.unpack(yU, spec)
     if spec.coupling.epsilon > 0:

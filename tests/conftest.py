@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mfplan.dual import DualConfig, solve_dual
+from mfplan.dual import solve_dual
 from mfplan.config import marginal_on_grid, potential_on_grid
 from mfplan.grids import ProblemSpec, SpaceTimeGrid
 from mfplan.hamiltonian import CouplingSpec, HamiltonianSpec
@@ -125,8 +125,7 @@ class SolveCache:
     def dual(self, name: str, n: int):
         key = (name, n)
         if key not in self._dual:
-            self._dual[key] = solve_dual(self.spec(name, n),
-                                         DualConfig())
+            self._dual[key] = solve_dual(self.spec(name, n))
         return self._dual[key]
 
 

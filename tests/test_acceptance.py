@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from mfplan.dual import DualConfig
+from mfplan.dual import NEWTON_TOL
 from mfplan.estimates import (
     check_displacement_convexity,
     check_energy_identity,
@@ -22,8 +22,6 @@ from mfplan.grids import ProblemSpec, SpaceTimeGrid, mass
 from mfplan.hamiltonian import CouplingSpec, HamiltonianSpec
 
 from conftest import make_bump_spec
-
-NEWTON_TOL = DualConfig().newton_tol
 
 
 @pytest.fixture()

@@ -20,7 +20,7 @@ from mfplan.cli import (
     run,
 )
 from mfplan.config import KNOWN_CHECKS, ConfigError, load_config, parse_config
-from mfplan.dual import DualConfig
+from mfplan.dual import NEWTON_TOL
 from mfplan.hamiltonian import KernelSolveError
 
 GIBBS_YAML = """\
@@ -74,7 +74,7 @@ def test_solve_writes_outputs(gibbs_cfg, tmp_path):
     assert header == "field,t_index,x_index,value"
     log = json.loads((out / "log.json").read_text())
     assert log["primal"]["converged"]
-    assert log["dual"]["stages"][-1]["residual"] <= DualConfig().newton_tol
+    assert log["dual"]["stages"][-1]["residual"] <= NEWTON_TOL
     assert set(log["dual"]) == {"stages"}
     report = json.loads((out / "report.json").read_text())
     names = {c["name"] for c in report["checks"]}
@@ -101,7 +101,7 @@ def test_fields_round_trip_17_digits(gibbs_cfg, tmp_path):
             m[(int(k), int(i))] = float(v)
     cfg = load_config(gibbs_cfg)
     from mfplan.dual import solve_dual
-    _, m_dual, _ = solve_dual(cfg.spec, cfg.dual)
+    _, m_dual, _ = solve_dual(cfg.spec)
     for (k, i), v in m.items():
         assert v == m_dual.values[k, i]  # 17 significant digits are lossless
 
@@ -166,7 +166,8 @@ def _edited(tmp_path, text: str, key: str, value) -> Path:
 
 @pytest.mark.parametrize("key, value", [
     ("grid", 3), ("problem", "gibbs"), ("problem.hamiltonian", "quadratic"),
-    ("problem.coupling", None), ("primal", 3), ("dual", None), ("sweep", [1]),
+    ("problem.coupling", None), ("primal", 3), ("problem.potential", None),
+    ("sweep", [1]),
 ])
 def test_non_mapping_block_named(tmp_path, capsys, key, value):
     p = _edited(tmp_path, GIBBS_YAML, key, value)
@@ -207,8 +208,8 @@ def test_malformed_value_named(tmp_path, capsys, key, value, named):
 
 @pytest.mark.parametrize("key, value, message", [
     ("grid.n_t", 1, "'grid': need n_t >= 2 and n_x >= 2"),
-    ("dual.newton_tol", 0.0, "'dual': newton_tol must be positive"),
-    ("dual.max_newton_iters", 0, "'dual': max_newton_iters must be at least 1"),
+    ("primal.tol_kkt", 0.0, "'primal': tol_kkt must be positive"),
+    ("problem.coupling.epsilon", -0.5, "'problem.coupling': epsilon must be >= 0"),
     ("sweep.eps_list", [0.1, -0.1], "'sweep.eps_list': every eps must be >= 0"),
     ("problem.hamiltonian.q", 3.0, "'problem.hamiltonian': the quadratic family"),
     ("problem.hamiltonian.varpi", 0.7, "'problem.hamiltonian': the quadratic family"),
@@ -239,12 +240,13 @@ def test_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_non_convergence_exit(gibbs_cfg, tmp_path, capsys):
+def test_non_convergence_exit(gibbs_cfg, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("mfplan.primal.MAX_ITERS", 5)
     p = tmp_path / "tight.yaml"
-    p.write_text(GIBBS_YAML + "primal:\n  tol_kkt: 1.0e-14\n  max_iters: 5\n")
+    p.write_text(GIBBS_YAML + "primal:\n  tol_kkt: 1.0e-14\n")
     assert run(str(p), "solve", method="primal",
                out=str(tmp_path / "o")) == EXIT_NOT_CONVERGED
-    assert "did not converge" in capsys.readouterr().err
+    assert "did not converge: max_iters (5) reached" in capsys.readouterr().err
 
 
 BUMP_INTERVAL_YAML = """\
@@ -509,11 +511,15 @@ def test_sweep(tmp_path, capsys):
 
 
 def test_sweep_nonzero_coupling_names_key(tmp_path, capsys):
+    # refused before --dry-run returns and before the output directory is made
     p = tmp_path / "sweep.yaml"
     p.write_text(SWEEP_YAML.replace(
         "{epsilon: 0.4}", "{epsilon: 0.4, f_family: power, f_params: [1.0, 1.0]}"))
-    assert run(str(p), "sweep", out=str(tmp_path / "o")) == EXIT_CONFIG
-    assert "'problem.coupling.f_family'" in capsys.readouterr().err
+    out = tmp_path / "o"
+    for dry_run in (False, True):
+        assert run(str(p), "sweep", out=str(out), dry_run=dry_run) == EXIT_CONFIG
+        assert "'problem.coupling.f_family'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _primal_bug(*args, **kwargs):
@@ -532,9 +538,12 @@ def test_sweep_programming_error_not_reported_as_config_error(
 
 
 def test_sweep_requires_eps_list(gibbs_cfg, tmp_path, capsys):
-    assert run(str(gibbs_cfg), "sweep",
-               out=str(tmp_path / "o")) == EXIT_CONFIG
-    assert "eps_list" in capsys.readouterr().err
+    out = tmp_path / "o"
+    for dry_run in (False, True):
+        assert run(str(gibbs_cfg), "sweep", out=str(out), dry_run=dry_run) == EXIT_CONFIG
+        assert ("config key 'sweep.eps_list': missing required key"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_main_entry_point(gibbs_cfg, tmp_path):
@@ -565,15 +574,39 @@ def test_parse_config_strictness():
     {"primal": {"sigma": 0.5}},
     {"primal": {"theta": 1.5}},
     {"dual": {"step_tol": 1e-12}},
+    {"dual": {"newton_tol": 1e-10}},
+    {"primal": {"max_iters": 5}},
 ])
 def test_keys_without_effect_rejected(extra):
     raw = {"grid": {"t_horizon": 1.0, "x_min": 0.0, "x_max": 1.0,
                     "n_t": 4, "n_x": 4},
            "problem": {"m0": {"family": "uniform"}, "m1": {"family": "uniform"}}}
-    with pytest.raises(ConfigError,
-                       match="seed|tol_mass|rho_sequence|delta_sequence|use_picard"
-                             "|tau_sequence|sigma|theta|step_tol"):
+    with pytest.raises(ConfigError) as exc:
         parse_config({**raw, **extra})
+    # the whole dual block is unknown; a primal key is named inside its block
+    (block, value), = extra.items()
+    key = f"{block}.{next(iter(value))}" if block == "primal" else block
+    assert str(exc.value) == f"config key {key!r}: unknown key"
+
+
+def test_csv_mass_defect_reported(tmp_path, capsys):
+    # csv values are data, not a density: their mass (here 2) is reported
+    p = tmp_path / "csv.yaml"
+    p.write_text("""\
+grid: {t_horizon: 1.0, x_min: 0.0, x_max: 1.0, n_t: 4, n_x: 4}
+problem:
+  coupling: {epsilon: 0.5}
+  m0: {family: csv, values: [2, 2, 2, 2]}
+  m1: {family: uniform}
+method: primal
+""")
+    assert run(str(p), "solve", dry_run=True) == EXIT_OK
+    assert "mass defects: m0=1 m1=0\n" in capsys.readouterr().out
+    out = tmp_path / "o"
+    assert run(str(p), "solve", out=str(out)) == EXIT_OK
+    validation = json.loads((out / "report.json").read_text())["validation"]
+    assert validation["mass_defect_m0"] == 1.0
+    assert validation["mass_defect_m1"] == 0.0
 
 
 def test_csv_fields(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from mfplan import dual
 from mfplan.dual import (
-    DualConfig,
+    NEWTON_TOL,
     DualSolveError,
     assemble_jacobian,
     assemble_residual,
@@ -21,8 +21,6 @@ from mfplan.hamiltonian import (
 )
 
 from conftest import make_bump_spec, make_congestion_spec, make_gibbs_spec
-
-NEWTON_TOL = DualConfig().newton_tol
 
 QUAD_H = HamiltonianSpec()
 
@@ -44,13 +42,6 @@ def test_refuses_degenerate_hamiltonian():
                       spec.coupling)
     with pytest.raises(DualSolveError, match=r"degenerate H_pp \(varpi=0, q!=2\)"):
         solve_dual(bad)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError, match="newton_tol"):
-        DualConfig(newton_tol=0.0)
-    with pytest.raises(ValueError, match="max_newton_iters"):
-        DualConfig(max_newton_iters=0)
 
 
 def test_refuses_zero_entropy():
@@ -429,6 +420,7 @@ def test_odd_grid_single_level():
     assert [(st["n_t"], st["n_x"]) for st in log.stages] == [(9, 32)]
 
 
-def test_newton_failure_names_level():
+def test_newton_failure_names_level(monkeypatch):
+    monkeypatch.setattr(dual, "MAX_NEWTON_ITERS", 1)
     with pytest.raises(DualSolveError, match="16x16 level"):
-        solve_dual(make_congestion_spec(32), DualConfig(max_newton_iters=1))
+        solve_dual(make_congestion_spec(32))

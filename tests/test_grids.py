@@ -30,7 +30,7 @@ def test_grid_invariants():
 def test_torus_counts():
     g = SpaceTimeGrid(1.0, 0.0, 1.0, 4, 8, "torus")
     assert g.n_faces == 8 and g.n_xnodes == 8
-    assert len(g.x_faces()) == 8
+    assert len(g.x_nodes()) == 8
 
 
 def test_avg_x_shapes_and_values():
@@ -77,10 +77,10 @@ def test_diff_x_nodes_wraps_on_torus(rng):
 def test_index_round_trips(n_t, n_x, topology):
     # cells, faces and nodes tile the domain consistently for all small grids
     g = SpaceTimeGrid(1.0, -1.0, 3.0, n_t, n_x, topology)
-    cells, faces = g.x_cells(), g.x_faces()
+    cells, faces = g.x_cells(), g.x_nodes()
     assert len(cells) == n_x
     assert len(faces) == g.n_faces
-    assert len(g.t_nodes()) == n_t + 1 and len(g.t_cells()) == n_t
+    assert len(g.t_nodes()) == n_t + 1
     # each cell center is midway between its two faces
     right = np.roll(faces, -1) if g.periodic else faces[1:]
     if g.periodic:
