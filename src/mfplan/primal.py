@@ -10,10 +10,15 @@ Vc = (Mc, Wc):
 * G2(U, Vc) = indicator{Vc = A U + b}
   — projection onto the graph of the averaging A (cached LU of I + A^T A).
 
-The step SIGMA, the over-relaxation THETA and the iteration cap MAX_ITERS
-are fixed; the one setting, PrimalConfig.tol_kkt, is the fixed-point
-tolerance.  The iteration keeps the output continuity-feasible at every
-step and stops on the fixed-point increment; the functional value,
+The step sigma starts at SIGMA.  Every BALANCE_EVERY iterations it is
+doubled if ||y|| >= 2 sigma ||u|| and halved if 2 ||y|| <= sigma ||u||,
+within [SIGMA_MIN, SIGMA_MAX], where y is the prox output and
+u = (s - y)/sigma the multiplier of the shadow s; the shadow is rescaled
+so that y and u stay.  The over-relaxation THETA and the iteration cap
+MAX_ITERS are fixed; the one setting, PrimalConfig.tol_kkt, bounds both
+the primal gap y - z (z the graph projection) and the subgradient sum
+(y - z)/sigma, so the stop does not depend on sigma.  The iteration keeps
+the output continuity-feasible at every step; the functional value,
 non-monotone under splitting, is evaluated once, at the last prox output.
 """
 from __future__ import annotations
@@ -35,7 +40,9 @@ from .grids import (
 )
 
 
-SIGMA = 1.0  # prox step
+SIGMA = 1.0  # initial prox step
+SIGMA_MIN, SIGMA_MAX = 2.0**-10, 2.0**10  # powers of two: rescaling is exact
+BALANCE_EVERY = 20  # DR iterations between step adaptations
 THETA = 1.8  # over-relaxation, in [1, 2)
 MAX_ITERS = 50000  # DR iterations before the solve is reported unconverged
 
@@ -56,6 +63,7 @@ class PrimalLog:
     final_value: float = float("nan")
     feasibility: float = float("nan")
     fp_residual: float = float("nan")
+    sigma: float = SIGMA  # the prox step at the last iteration
     reason: str = ""  # why the iteration stopped unconverged
 
 
@@ -144,13 +152,6 @@ def _operators(grid: SpaceTimeGrid) -> _Operators:
     return _Operators(grid)
 
 
-def project_continuity(state: PrimalState, spec: ProblemSpec) -> PrimalState:
-    """Euclidean projection onto {continuity = 0, no-flux, endpoint data}."""
-    ops = _operators(spec.grid)
-    d, _ = ops.data_vectors(spec)
-    return ops.unpack(ops.project(ops.pack(state), d), spec)
-
-
 def _initial_state(spec: ProblemSpec) -> PrimalState:
     g = spec.grid
     lam = np.linspace(0.0, 1.0, g.n_t + 1)[:, None]
@@ -175,17 +176,38 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     sU, sV = U.copy(), Vc.copy()
 
     log = PrimalLog()
-    mY = None  # the first prox starts cold, later ones at the previous output
+    sigma = SIGMA
+    # the first prox starts cold, later ones at the log-linear extrapolation
+    # of the last two outputs (the last output alone after a step change)
+    mY = mY_prev = None
     for it in range(1, MAX_ITERS + 1):
         yU = ops.project(sU, d)
         mbar = sV[: nt * nx].reshape(nt, nx)
         wbar = sV[nt * nx :].reshape(nt, nx)
+        m_start = mY if mY_prev is None else np.divide(
+            mY * mY, mY_prev, out=mY.copy(), where=(mY > 0.0) & (mY_prev > 0.0))
+        mY_prev = mY
         # the uniform dt*dx weight does not move the minimizer, so the
         # iteration minimizes the unweighted cell sum (better-scaled prox)
         mY, wY = prox_block(
-            mbar, wbar, SIGMA, spec.V, spec.hamiltonian, spec.coupling, mY,
+            mbar, wbar, sigma, spec.V, spec.hamiltonian, spec.coupling, m_start,
         )
         yV = np.concatenate([mY.ravel(), wY.ravel()])
+
+        if it % BALANCE_EVERY == 0:
+            y_norm = np.hypot(np.linalg.norm(yU), np.linalg.norm(yV))
+            su_norm = np.hypot(np.linalg.norm(sU - yU), np.linalg.norm(sV - yV))
+            if y_norm >= 2.0 * su_norm:  # ||y|| >= 2 sigma ||u||
+                step = min(2.0 * sigma, SIGMA_MAX)
+            elif 2.0 * y_norm <= su_norm:
+                step = max(0.5 * sigma, SIGMA_MIN)
+            else:
+                step = sigma
+            if step != sigma:
+                # y = prox_step(s') for s' = y + step*u: y and u stay
+                sU = yU + (step / sigma) * (sU - yU)
+                sV = yV + (step / sigma) * (sV - yV)
+                sigma, mY_prev = step, None
 
         zU, zV = ops.graph_project(2.0 * yU - sU, 2.0 * yV - sV, b)
 
@@ -199,7 +221,8 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
         fp = float(np.maximum(np.max(np.abs(dU)), np.max(np.abs(dV)))) / scale
         log.iters = it
         log.fp_residual = fp
-        if fp <= cfg.tol_kkt:
+        # y - z is the primal gap and (y - z)/sigma the subgradient sum
+        if fp <= cfg.tol_kkt * min(1.0, sigma):
             log.converged = True
             break
         if not np.isfinite(fp):
@@ -207,6 +230,7 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
             break
     else:
         log.reason = f"max_iters ({MAX_ITERS}) reached"
+    log.sigma = sigma
 
     state = ops.unpack(yU, spec)
     if spec.coupling.epsilon > 0:

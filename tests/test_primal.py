@@ -17,15 +17,12 @@ from mfplan.grids import (
 )
 from mfplan.hamiltonian import CouplingSpec, HamiltonianSpec
 from mfplan import functional, primal
-from mfplan.primal import (
-    PrimalConfig,
-    project_continuity,
-    solve_primal,
-)
+from mfplan.primal import PrimalConfig, solve_primal
 
 from conftest import (
     build_spec,
     gaussian_with_floor,
+    make_bump_spec,
     make_congestion_spec,
     make_gibbs_spec,
 )
@@ -35,6 +32,13 @@ QUAD_H = HamiltonianSpec()
 
 def _state(spec, m, w):
     return PrimalState(DensityField(spec.grid, m), MomentumField(spec.grid, w))
+
+
+def _project(state, spec):
+    """Euclidean projection onto {continuity = 0, no-flux, endpoint data}."""
+    ops = primal._operators(spec.grid)
+    d, _ = ops.data_vectors(spec)
+    return ops.unpack(ops.project(ops.pack(state), d), spec)
 
 
 def _uniform_spec(n_t=4, n_x=8, topology="interval-neumann", eps=0.5):
@@ -60,9 +64,9 @@ def test_projection_feasible_and_idempotent(topology, rng):
     w = rng.standard_normal((g.n_t, g.n_faces))
     if not g.periodic:
         w[:, 0] = w[:, -1] = 0.0
-    p = project_continuity(_state(spec, m, w), spec)
+    p = _project(_state(spec, m, w), spec)
     assert np.max(np.abs(continuity_residual(p, spec))) <= 1e-10
-    p2 = project_continuity(p, spec)
+    p2 = _project(p, spec)
     assert np.max(np.abs(p2.m.values - p.m.values)) <= 1e-12
     assert np.max(np.abs(p2.w.values - p.w.values)) <= 1e-12
 
@@ -200,7 +204,7 @@ def test_projection_matches_dense_least_squares(rng):
     x = np.concatenate([m[1:-1].ravel(), w[:, 1:-1].ravel()])
     x_proj = x - C.T @ np.linalg.lstsq(C @ C.T, C @ x - d, rcond=None)[0]
 
-    p = project_continuity(_state(spec, m, w), spec)
+    p = _project(_state(spec, m, w), spec)
     got = np.concatenate([p.m.values[1:-1].ravel(), p.w.values[:, 1:-1].ravel()])
     assert np.max(np.abs(got - x_proj)) <= 1e-8
 
@@ -244,7 +248,7 @@ def test_value_beats_straight_line_transport(solves):
     g = spec.grid
     lam = np.linspace(0.0, 1.0, g.n_t + 1)[:, None]
     m_lin = (1 - lam) * spec.m0 + lam * spec.m1
-    comp = project_continuity(
+    comp = _project(
         _state(spec, m_lin, np.zeros((g.n_t, g.n_faces))), spec)
     j_comp = functional_value(comp, spec)
     assert log.final_value <= j_comp + 1e-10
@@ -325,9 +329,10 @@ def test_value_evaluated_once(monkeypatch):
 
 
 def test_prox_warm_started_from_previous_iterate(monkeypatch):
-    # from iteration 2 on, the cell prox starts at the previous output: far
-    # fewer Newton evaluations per call than cold (10 at 128^2), and the
-    # same DR iterations as a run whose every prox starts cold
+    # from iteration 2 on, the cell prox starts at the previous output or
+    # its extrapolation: far fewer Newton evaluations per call than cold (10
+    # at 128^2), and the same DR iterations as a run whose every prox starts
+    # cold
     spec = make_congestion_spec(32)
     prox_block, reduced_gradient = primal.prox_block, functional._reduced_gradient
     evals, calls = [], []
@@ -349,3 +354,69 @@ def test_prox_warm_started_from_previous_iterate(monkeypatch):
     monkeypatch.setattr(primal, "prox_block", lambda *args: prox_block(*args[:6]))
     _, cold = solve_primal(spec)
     assert cold.converged and cold.iters == warm.iters
+
+
+def _balancing_off(monkeypatch):
+    monkeypatch.setattr(primal, "BALANCE_EVERY", primal.MAX_ITERS + 1)
+
+
+@pytest.mark.parametrize("make_spec,sigma,step", [
+    (make_congestion_spec, 1.0, 0.5), (make_gibbs_spec, 0.25, 0.5)])
+def test_step_change_keeps_fixed_point(make_spec, sigma, step, monkeypatch):
+    # at a fixed point, the solver's change of sigma and rescaled shadow
+    # keep y: the DR steps after the change leave the answer in place (the
+    # projection is sigma-free, so a wrong shadow shows in U one step later)
+    spec = make_spec(16)
+    _balancing_off(monkeypatch)
+    monkeypatch.setattr(primal, "SIGMA", sigma)
+    # solve to a fixed-point increment of 1e-10 at either step
+    fixed, log = solve_primal(spec, PrimalConfig(tol_kkt=1e-10 / sigma))
+    assert log.converged and log.sigma == sigma
+    monkeypatch.setattr(primal, "BALANCE_EVERY", log.iters)
+    monkeypatch.setattr(primal, "MAX_ITERS", log.iters + 2)
+    state, changed = solve_primal(spec, PrimalConfig(tol_kkt=1e-300))
+    assert changed.iters == log.iters + 2 and changed.sigma == step
+    assert np.max(np.abs(state.m.values - fixed.m.values)) <= 1e-9
+    assert np.max(np.abs(state.w.values - fixed.w.values)) <= 1e-9
+
+
+def test_stop_does_not_depend_on_sigma(monkeypatch):
+    # the stop bounds both DR residuals by tol_kkt whatever the fixed step:
+    # the error against a long solve is the same at sigma = 1/4, 1/2 and 1
+    # (a stop on the fixed-point increment alone is 3x worse at 1/4)
+    spec = make_bump_spec(16, topology="interval-neumann")
+    _balancing_off(monkeypatch)
+    monkeypatch.setattr(primal, "MAX_ITERS", 40000)
+    ref, _ = solve_primal(spec, PrimalConfig(tol_kkt=1e-300))
+    errors = []
+    for sigma in (0.25, 0.5, 1.0):
+        monkeypatch.setattr(primal, "SIGMA", sigma)
+        state, log = solve_primal(spec)
+        assert log.converged and log.sigma == sigma
+        errors.append(max(np.max(np.abs(state.m.values - ref.m.values)),
+                          np.max(np.abs(state.w.values - ref.w.values))))
+    assert max(errors) <= 1.5 * min(errors), errors
+    assert max(errors) <= 100 * PrimalConfig().tol_kkt, errors
+
+
+def test_gibbs_keeps_unit_step(solves, monkeypatch):
+    # the rest state balances prox output and multiplier within a factor
+    # 2, so the step never moves and the run is the fixed-step one
+    _, log = solves.primal("gibbs", 16)
+    assert log.sigma == 1.0
+    _balancing_off(monkeypatch)
+    _, fixed = solve_primal(solves.spec("gibbs", 16), PrimalConfig(tol_kkt=1e-8))
+    assert fixed.iters == log.iters
+
+
+def test_step_adaptation_saves_iterations(monkeypatch):
+    spec = make_congestion_spec(32)
+    state, log = solve_primal(spec)
+    assert log.converged and log.sigma != 1.0
+    _balancing_off(monkeypatch)
+    fixed_state, fixed = solve_primal(spec)
+    assert fixed.converged
+    assert log.iters <= 0.65 * fixed.iters, (log.iters, fixed.iters)
+    tol = 10 * PrimalConfig().tol_kkt
+    assert np.max(np.abs(state.m.values - fixed_state.m.values)) <= tol
+    assert np.max(np.abs(state.w.values - fixed_state.w.values)) <= tol
