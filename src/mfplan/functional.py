@@ -118,9 +118,12 @@ def prox_block(
     Minimizes  m L(w/m) + eps m(log m - 1) + V m + F(m)
              + (1/2 sigma)[(m - mbar)^2 + (w - wbar)^2]   over m >= 0, w.
 
-    Eliminating w leaves a strictly convex scalar problem in m with
-    gradient _reduced_gradient, solved by safeguarded Newton: in y = log m
-    when the entropy keeps the minimizer interior, in m itself otherwise.
+    Eliminating w leaves a strictly convex scalar problem in m per cell
+    with gradient _reduced_gradient, solved by one safeguarded Newton over
+    the whole block (mbar, wbar and V broadcast together): in y = log m
+    when the entropy keeps the minimizer interior, in m itself over the
+    cells where m = 0 is not optimal otherwise.  A converged cell no
+    longer moves.
     The KKT residual is at most 1e-11*max(1, |V| + |mbar|/sigma + H(wbar/sigma)).
 
     Newton starts at m_start, a guess of the minimizer (in a splitting
@@ -130,20 +133,18 @@ def prox_block(
     m_hi/2 in the corner case.  The start changes the answer only within
     the tolerance.
     """
-    mbar, wbar, V = (np.array(np.broadcast_to(a, np.shape(mbar)), dtype=float)
-                     for a in (mbar, wbar, V))
-    shape = mbar.shape
-    mbar, wbar, V = mbar.ravel(), wbar.ravel(), V.ravel()
+    mbar, wbar, V = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (mbar, wbar, V)))
     h_top = invert_hp(hamiltonian, wbar, 0.0, sigma)[1]  # H(wbar/sigma) >= H(p)
     tol = 1e-11 * np.maximum(1.0, np.abs(V) + np.abs(mbar) / sigma + h_top)
     # for m >= 1 the entropy and f are >= 0, so the gradient is >= 0 at m_hi
     m_hi = np.maximum(1.0, mbar + sigma * (h_top - V))
     vel = np.zeros_like(mbar)
 
-    def in_log(y, idx):
+    def in_log(y):
         m = np.exp(y)
-        g, curv, vel[idx] = _reduced_gradient(
-            m, mbar[idx], wbar[idx], sigma, V[idx], hamiltonian, coupling)
+        g, curv, vel[...] = _reduced_gradient(
+            m, mbar, wbar, sigma, V, hamiltonian, coupling)
         return g, m * curv
 
     if coupling.epsilon > 0.0 or (
@@ -153,7 +154,7 @@ def prox_block(
         if m_start is None:
             y0 = np.minimum(np.log(np.maximum(mbar, 1e-12)), hi)
         else:
-            y0 = np.clip(np.log(np.maximum(np.ravel(m_start), 1e-300)), -745.0, hi)
+            y0 = np.clip(np.log(np.maximum(m_start, 1e-300)), -745.0, hi)
         # exp underflows below -746, where the gradient is -inf
         m = np.exp(safeguarded_newton(in_log, y0, -746.0, hi, tol))
     else:
@@ -161,20 +162,19 @@ def prox_block(
         # gradient is already >= 0 there
         m = np.zeros_like(mbar)
         g0 = -h_top + V + coupling.f(np.full_like(mbar, 1e-300)) - mbar / sigma
-        free = np.flatnonzero(g0 < 0.0)
+        free = g0 < 0.0
+        args = (mbar[free], wbar[free], sigma, V[free], hamiltonian, coupling)
 
-        def in_m(m, idx):
-            cells = free[idx]
-            g, curv, vel[cells] = _reduced_gradient(
-                m, mbar[cells], wbar[cells], sigma, V[cells], hamiltonian, coupling)
+        def in_m(m):
+            g, curv, vel[free] = _reduced_gradient(m, *args)
             return g, curv
 
         m0 = 0.5 * m_hi[free]
         if m_start is not None:
-            prev = np.ravel(m_start)[free]
+            prev = np.broadcast_to(m_start, mbar.shape)[free]
             m0 = np.where((prev > 0.0) & (prev < m_hi[free]), prev, m0)
         m[free] = safeguarded_newton(in_m, m0, 0.0, m_hi[free], tol[free])
-    return m.reshape(shape), (m * vel).reshape(shape)
+    return m, m * vel
 
 
 def prox_cell(

@@ -26,6 +26,7 @@ import numpy as np
 
 QUADRATIC = "quadratic"
 POWER = "power"
+MAX_ITER = 100  # evaluations before safeguarded_newton gives up
 
 
 class DegenerateHamiltonianError(ValueError):
@@ -110,38 +111,32 @@ class KernelSolveError(SolveError):
     """A scalar kernel (cell prox, Legendre transform, phi) did not converge."""
 
 
-def safeguarded_newton(fun, y, lo, hi, tol, max_iter: int = 100):
+def safeguarded_newton(fun, y, lo, hi, tol):
     """Solve g(y) = 0 cellwise for nondecreasing g by Newton with bisection.
 
-    fun(y, idx) returns (g, g') at the cells with flat indices idx.  [lo, hi]
-    must bracket every root; its endpoints are never evaluated.  A cell
-    leaves the iteration as soon as |g| <= tol there, so its value is the
-    last one evaluated; a Newton step that leaves the bracket is replaced by
-    the bracket's midpoint.  Raises KernelSolveError when a cell has not
-    converged after max_iter evaluations.
+    fun(y) returns (g, g') at every cell of y, in y's shape.  [lo, hi] must
+    bracket every root; its endpoints are never evaluated.  Every round
+    evaluates every cell, and a cell with |g| <= tol no longer moves, so its
+    value is the last one evaluated; a Newton step that leaves the bracket
+    is replaced by the bracket's midpoint.  Raises KernelSolveError when a
+    cell has not converged after MAX_ITER evaluations.
     """
     y = np.array(y, dtype=float)
-    shape = y.shape
-    y = y.ravel()
-    lo, hi, tol = (np.array(np.broadcast_to(a, shape), dtype=float).ravel()
-                   for a in (lo, hi, tol))
-    idx = np.arange(y.size)
-    for _ in range(max_iter):
-        g, gp = fun(y[idx], idx)
-        live = ~(np.abs(g) <= tol[idx])
-        idx, g, gp = idx[live], g[live], gp[live]
-        if idx.size == 0:
-            return y.reshape(shape)
-        yi = y[idx]
-        lo[idx] = np.where(g < 0, yi, lo[idx])
-        hi[idx] = np.where(g > 0, yi, hi[idx])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = yi - g / gp
-        inside = (step > lo[idx]) & (step < hi[idx])
-        y[idx] = np.where(inside, step, 0.5 * (lo[idx] + hi[idx]))
+    lo, hi = (np.array(np.broadcast_to(a, y.shape), dtype=float) for a in (lo, hi))
+    for _ in range(MAX_ITER):
+        g, gp = fun(y)
+        live = ~(np.abs(g) <= tol)
+        if not live.any():
+            return y
+        np.copyto(lo, y, where=live & (g < 0))
+        np.copyto(hi, y, where=live & (g > 0))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = y - g / gp
+            inside = (step > lo) & (step < hi)
+            np.copyto(y, np.where(inside, step, 0.5 * (lo + hi)), where=live)
     raise KernelSolveError(
-        f"safeguarded Newton left {idx.size} cells unconverged after "
-        f"{max_iter} evaluations; worst residual {float(np.max(np.abs(g))):.3e}"
+        f"safeguarded Newton left {live.sum()} cells unconverged after "
+        f"{MAX_ITER} evaluations; worst residual {np.max(np.abs(g[live])):.3e}"
     )
 
 
@@ -168,12 +163,10 @@ def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0):
     lo, hi = np.minimum(edge, 0.0), np.maximum(edge, 0.0)
     tol = 1e-13 * np.maximum(a, sigma + m)
 
-    rf, mf = rhs.ravel(), m.ravel()
-
-    def fun(p, idx):
+    def fun(p):
         _, hp, hpp = _h_eval(H, p)
         with np.errstate(invalid="ignore"):  # 0 * inf at m = 0, p = 0
-            return sigma * p + mf[idx] * hp - rf[idx], sigma + mf[idx] * hpp
+            return sigma * p + m * hp - rhs, sigma + m * hpp
 
     p = safeguarded_newton(fun, edge, lo, hi, tol)
     return (p, *_h_eval(H, p))
@@ -324,12 +317,11 @@ class CouplingSpec:
         lo = np.where(pos, np.maximum(lo, np.minimum(y_f, 0.0)), lo)
         hi = np.where(pos, np.minimum(hi, np.maximum(y_f, 0.0)), hi)
         y0 = np.maximum(np.where(pos, np.minimum(hi, y_f), hi), lo)
-        rf = r.ravel()
 
-        def fun(y, idx):
+        def fun(y):
             with np.errstate(over="ignore", invalid="ignore"):
                 fm = c * np.exp(a * y)
-                g = fm + eps * y - rf[idx]
+                g = fm + eps * y - r
             # exp overflow means y is far above the root
             return np.where(np.isfinite(g), g, np.inf), a * fm + eps
 

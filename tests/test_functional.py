@@ -278,19 +278,6 @@ def test_prox_kkt_residual(coupling, rng):
                                                + wbar**2 / sigma**2), H
 
 
-def test_prox_block_matches_scalar(rng):
-    mbar = rng.uniform(0.0, 3.0, size=(3, 4))
-    wbar = rng.standard_normal((3, 4))
-    V = rng.uniform(-1.0, 1.0, size=4)
-    m, w = prox_block(mbar, wbar, 0.7, V, QUAD_H, C_ENT)
-    for k in range(3):
-        for i in range(4):
-            ms, ws = prox_cell(mbar[k, i], wbar[k, i], 0.7, V[i], QUAD_H, C_ENT)
-            # block and scalar paths stop at slightly different Newton states
-            assert abs(m[k, i] - ms) <= 1e-9
-            assert abs(w[k, i] - ws) <= 1e-9
-
-
 # the log branch through the entropy and through a log coupling, and the
 # eps = 0 corner branch
 WARM_COUPLINGS = [
@@ -298,6 +285,22 @@ WARM_COUPLINGS = [
     CouplingSpec(epsilon=0.0, f_family="log", f_params=(0.3,)),
     CouplingSpec(epsilon=0.0, f_family="power", f_params=(0.5, 2.0)),
 ]
+
+
+@pytest.mark.parametrize("coupling", WARM_COUPLINGS)
+@pytest.mark.parametrize("H", EVERY_H[:2])
+def test_prox_block_matches_scalar(H, coupling, rng):
+    mbar = rng.uniform(0.0, 3.0, size=(3, 4))
+    wbar = rng.standard_normal((3, 4))
+    V = rng.uniform(-1.0, 1.0, size=4)
+    m, w = prox_block(mbar, wbar, 0.7, V, H, coupling)
+    assert m.shape == w.shape == mbar.shape
+    for k in range(3):
+        for i in range(4):
+            ms, ws = prox_cell(mbar[k, i], wbar[k, i], 0.7, V[i], H, coupling)
+            # each cell takes the same Newton iterates in the block as alone
+            assert abs(m[k, i] - ms) <= 1e-9
+            assert abs(w[k, i] - ws) <= 1e-9
 
 
 def _prox_inputs(rng, n=60):
