@@ -20,14 +20,19 @@ shrinks with the mesh; |kappa| is the limit of the a-priori quantity
 delta sup|u_delta|.
 
 The Jacobian in u has the constants as its kernel; bordered by the column
-dR/dkappa and one row it is nonsingular, and each Newton step takes one
-sparse solve of the bordered system.  Damped Newton runs by nested
+dR/dkappa and one row it is nonsingular.  Damped Newton runs by nested
 iteration (Briggs, Henson & McCormick, A Multigrid Tutorial, SIAM 2000):
 from u = 0 on the coarsest mesh, then from the bilinear interpolant of
-each level's solution on the mesh with twice the cells.  Every level is
-solved to the same max-norm residual NEWTON_TOL in at most
+each level's solution on the mesh with twice the cells.  On the coarsest
+mesh every step takes one sparse solve of the bordered system at the
+current iterate (full Newton).  A finer level starts close to its
+solution, so there the bordered Jacobian is factored once, at the level's
+first step, and the later steps reuse the factor (chord, or Shamanskii,
+steps); it is factored again at the current iterate when a step cuts the
+residual by less than REFACTOR_RATIO or its line search fails.  Every
+level is solved to the same max-norm residual NEWTON_TOL in at most
 MAX_NEWTON_ITERS steps (Kelley, Solving Nonlinear Equations with Newton's
-Method, SIAM 2003); both are constants, not settings.
+Method, SIAM 2003, ch. 5); all three are constants, not settings.
 
 The first derivatives are the grid's node stencils diff_t_nodes and
 diff_x_nodes (one-sided second order at t in {0, T} and on the lateral
@@ -44,6 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import spsolve
 
 from .grids import DensityField, PotentialField, ProblemSpec, stencil_matrix
@@ -54,6 +60,7 @@ MIN_LEVEL_CELLS = 16  # per axis, on the coarsest mesh of the nested solve
 NEWTON_TOL = 1e-10  # max-norm residual at which Newton stops on a level
 MAX_NEWTON_ITERS = 50  # Newton steps per level
 STEP_TOL = 1e-13  # Newton stops once a damped step moves no entry by more
+REFACTOR_RATIO = 0.5  # a chord step that leaves more of the residual refactors
 
 
 class DualSolveError(SolveError):
@@ -228,29 +235,42 @@ def _sup_bound_rhs(spec: ProblemSpec) -> float:
     return a + b
 
 
-def _newton_step(z, R, spec, e, ell) -> np.ndarray:
+def _bordered_jacobian(z, spec, e, ell) -> sp.csc_matrix:
+    """The Jacobian at z = (u, kappa) bordered by e and a row pinning the
+    node of u(T) with the largest gauge weight.  A one-entry row leaves the
+    fill of the factor as it is; ell, dense over u(T), adds about 10%."""
+    _, J = _assemble(z[:-1].reshape(spec.grid.n_t + 1, -1), spec, z[-1],
+                     with_jacobian=True)
+    pin = sp.csr_matrix(([1.0], ([0], [int(np.argmax(ell))])), shape=(1, e.size))
+    return sp.bmat([[J, sp.csc_matrix(e[:, None])], [pin, None]], format="csc")
+
+
+def _newton_step(z, R, spec, e, ell, lu=None) -> np.ndarray:
     """Newton step dz = (du, dkappa) at z = (u, kappa), given the flat PDE rows R.
 
-    Solves J du + e dkappa = -R with the gauge ell . (u + du) = 0.  J is
-    bordered by e and a row pinning the node of u(T) with the largest gauge
-    weight, and the constant that keeps the gauge is added to du: the step
-    bordered by ell itself differs only by a constant, the kernel of J.  A
-    one-entry row leaves the fill of the factor as it is; ell, dense over
-    u(T), adds about 10%.
+    Solves J du + e dkappa = -R with the gauge ell . (u + du) = 0: the
+    bordered Jacobian is solved at z, or through lu, a factor of it taken
+    at an earlier iterate (a chord step), and the constant that keeps the
+    gauge is added to du.  The step bordered by ell itself differs only by
+    a constant, the kernel of J.
     """
-    u = z[:-1]
-    _, J = _assemble(u.reshape(spec.grid.n_t + 1, -1), spec, z[-1], with_jacobian=True)
-    pin = sp.csr_matrix(([1.0], ([0], [int(np.argmax(ell))])), shape=(1, e.size))
-    # rebinding J frees the unbordered matrix before the factorization
-    J = sp.bmat([[J, sp.csc_matrix(e[:, None])], [pin, None]], format="csc")
-    step = spsolve(J, np.append(-R, 0.0))
-    step[:-1] -= ell @ (u + step[:-1]) / ell.sum()
+    rhs = np.append(-R, 0.0)
+    step = spsolve(_bordered_jacobian(z, spec, e, ell), rhs) if lu is None else lu.solve(rhs)
+    step[:-1] -= ell @ (z[:-1] + step[:-1]) / ell.sum()
     return step
 
 
-def _newton_stage(z, spec):
+def _newton_stage(z, spec, chord=False):
     """Damped Newton from z = (u, kappa) shifted into the gauge; returns
-    (z, iters, residual), or raises DualSolveError naming the mesh."""
+    (z, iters, factorizations, residual), or raises DualSolveError naming
+    the mesh.
+
+    Without chord every step solves the Jacobian at its iterate.  With
+    chord the bordered Jacobian is factored at the first step and reused;
+    it is factored again at the current iterate after a step that leaves
+    more than REFACTOR_RATIO of the residual, or when the line search fails
+    on the stale factor.  The stage stops when a step from a fresh factor
+    fails."""
     g = spec.grid
     e, ell = _kappa_column(g).ravel(), _gauge_row(spec).ravel()
     z = np.append(z[:-1] - ell @ z[:-1] / ell.sum(), z[-1])
@@ -261,9 +281,15 @@ def _newton_stage(z, spec):
 
     R = residual(z)
     rnorm = float(np.max(np.abs(R)))
-    it = 0
+    it = factorizations = 0
+    lu = None  # the chord factor; None until a step needs one
     while rnorm > NEWTON_TOL and it < MAX_NEWTON_ITERS:
-        step = _newton_step(z, R, spec, e, ell)
+        fresh = lu is None  # always, without chord: spsolve factors afresh
+        if fresh:
+            factorizations += 1
+            if chord:
+                lu = spla.splu(_bordered_jacobian(z, spec, e, ell))
+        step = _newton_step(z, R, spec, e, ell, lu)
         t = 1.0
         for _ in range(30):
             z_try = z + t * step
@@ -275,7 +301,12 @@ def _newton_stage(z, spec):
                 break
             t *= 0.5
         else:  # no trial step decreased the residual
-            break
+            if fresh:
+                break
+            lu = None
+            continue
+        if r_try > REFACTOR_RATIO * rnorm:
+            lu = None
         z, R, rnorm = z_try, R_try, r_try
         it += 1
         if t * float(np.max(np.abs(step))) <= STEP_TOL:
@@ -283,7 +314,7 @@ def _newton_stage(z, spec):
     if rnorm > NEWTON_TOL:
         raise DualSolveError(
             f"Newton stagnated on the {g.n_t}x{g.n_x} level; residual {rnorm:.3e}")
-    return z, it, rnorm
+    return z, it, factorizations, rnorm
 
 
 def _levels(spec: ProblemSpec) -> list[ProblemSpec]:
@@ -324,15 +355,19 @@ def solve_dual(spec: ProblemSpec):
     u, kappa = None, 0.0
     for lvl in _levels(spec):
         g = lvl.grid
-        u = np.zeros((g.n_t + 1, g.n_xnodes)) if u is None else _prolong(u, g.periodic)
-        # kappa carries over from the coarser level
-        z, iters, resid = _newton_stage(np.append(u, kappa), lvl)
+        coarsest = u is None
+        u = np.zeros((g.n_t + 1, g.n_xnodes)) if coarsest else _prolong(u, g.periodic)
+        # kappa carries over from the coarser level; chord steps from u = 0
+        # stagnate, so the coarsest level takes full Newton steps
+        z, iters, factors, resid = _newton_stage(np.append(u, kappa), lvl,
+                                                 chord=not coarsest)
         u, kappa = z[:-1].reshape(g.n_t + 1, -1), float(z[-1])
         log.stages.append({
             "n_t": g.n_t,
             "n_x": g.n_x,
             "kappa": kappa,
             "newton_iters": iters,
+            "factorizations": factors,
             "residual": resid,
             "sup_bound_lhs": abs(kappa),
             "sup_bound_rhs": _sup_bound_rhs(lvl),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from mfplan import dual
 from mfplan.dual import (
@@ -241,8 +242,13 @@ def test_bordered_step_solves_gauge_system(topology, rng):
     e, ell = _kappa_column(g).ravel(), _gauge_row(spec).ravel()
     bordered = np.block([[J, e[:, None]], [ell[None, :], np.zeros((1, 1))]])
     expect = np.linalg.solve(bordered, np.append(-R.ravel(), -ell @ u.ravel()))
-    step = _newton_step(np.append(u, 0.1), R.ravel(), spec, e, ell)
+    z = np.append(u, 0.1)
+    step = _newton_step(z, R.ravel(), spec, e, ell)
     assert np.max(np.abs(step - expect)) <= 1e-10 * np.max(np.abs(expect))
+    # a chord step through a factor taken at the same point is the same step
+    lu = splu(dual._bordered_jacobian(z, spec, e, ell))
+    chord = _newton_step(z, R.ravel(), spec, e, ell, lu)
+    assert np.max(np.abs(chord - expect)) <= 1e-10 * np.max(np.abs(expect))
 
 
 @pytest.mark.parametrize("topology", ["interval-neumann", "torus"])
@@ -424,3 +430,48 @@ def test_newton_failure_names_level(monkeypatch):
     monkeypatch.setattr(dual, "MAX_NEWTON_ITERS", 1)
     with pytest.raises(DualSolveError, match="16x16 level"):
         solve_dual(make_congestion_spec(32))
+
+
+# ---------------------------------------------------------------------------
+# chord steps on the finer levels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    make_congestion_spec(64),
+    make_bump_spec(64, topology="interval-neumann"),
+], ids=["congestion", "bump-interval"])
+def test_chord_matches_full_newton(spec, monkeypatch):
+    u, _, log = solve_dual(spec)
+    coarsest, *finer = log.stages
+    assert coarsest["factorizations"] == coarsest["newton_iters"]
+    for st in finer:  # one factor per finer level, far below the step cap
+        assert st["factorizations"] == 1
+        assert st["newton_iters"] <= 20
+    # with a refactor at every step the finer levels take full Newton steps
+    monkeypatch.setattr(dual, "REFACTOR_RATIO", 0.0)
+    u_full, _, log_full = solve_dual(spec)
+    for st in log_full.stages:
+        assert st["factorizations"] == st["newton_iters"]
+    assert np.max(np.abs(u.values - u_full.values)) <= 1e-10
+    assert abs(log.stages[-1]["kappa"] - log_full.stages[-1]["kappa"]) <= 1e-12
+
+
+def test_chord_factors_nothing_on_converged_levels(solves):
+    # the prolonged gibbs solution already solves every finer level
+    _, _, log = solves.dual("gibbs", 64)
+    assert len(log.stages) == 3
+    for st in log.stages[1:]:
+        assert (st["newton_iters"], st["factorizations"]) == (0, 0)
+
+
+def test_chord_refactors_when_line_search_fails(monkeypatch):
+    # from u = 0 chord steps on one factor stagnate; with the ratio rule off
+    # (an accepted step always leaves less than the whole residual) only a
+    # failed line search on the stale factor refactors, and that suffices
+    monkeypatch.setattr(dual, "REFACTOR_RATIO", 1.0)
+    spec = make_congestion_spec(32)
+    g = spec.grid
+    z, iters, factors, resid = dual._newton_stage(
+        np.zeros((g.n_t + 1) * g.n_xnodes + 1), spec, chord=True)
+    assert resid <= NEWTON_TOL
+    assert 1 < factors < iters
