@@ -52,7 +52,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import spsolve
 
-from .grids import DensityField, PotentialField, ProblemSpec, stencil_matrix
+from .grids import DensityField, PotentialField, ProblemSpec
 from .hamiltonian import SolveError, h_eval, h_third
 
 
@@ -140,6 +140,11 @@ def _coefficients(g, interior, hp_boundary) -> np.ndarray:
     return c
 
 
+def _stencil_matrix(apply, n: int) -> sp.csr_matrix:
+    """Matrix of a linear stencil along the last axis of n values."""
+    return sp.csr_matrix(apply(np.eye(n)).T)
+
+
 @functools.lru_cache(maxsize=1)
 def _stencils(g) -> tuple[np.ndarray, ...]:
     """The entries of S = [S_t; S_x; S_tt; S_xx; S_tx] as (row in S, column,
@@ -147,9 +152,9 @@ def _stencils(g) -> tuple[np.ndarray, ...]:
     also reaches rows whose coefficient is always zero, and storing those
     entries would widen the pattern and the LU fill."""
     nt1, nn = g.n_t + 1, g.n_xnodes
-    D_t, D_tt = (stencil_matrix(f, nt1) for f in (
+    D_t, D_tt = (_stencil_matrix(f, nt1) for f in (
         lambda v: g.diff_t_nodes(v.T).T, lambda v: _diff2(v, g.dt, False)))
-    D_x, D_xx = (stencil_matrix(f, nn) for f in (
+    D_x, D_xx = (_stencil_matrix(f, nn) for f in (
         g.diff_x_nodes, lambda v: _diff2(v, g.dx, g.periodic)))
     I_t, I_x = sp.identity(nt1), sp.identity(nn)
     S = sp.vstack([sp.kron(a, b, format="coo") for a, b in (

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 if TYPE_CHECKING:
     from .hamiltonian import CouplingSpec, HamiltonianSpec
@@ -119,12 +118,6 @@ def _diff_nodes(v: np.ndarray, h: float, periodic: bool) -> np.ndarray:
         out[..., 0] = -3 * v[..., 0] + 4 * v[..., 1] - v[..., 2]
         out[..., -1] = 3 * v[..., -1] - 4 * v[..., -2] + v[..., -3]
     return out / (2 * h)
-
-
-def stencil_matrix(apply, n: int, free=slice(None)) -> sp.csr_matrix:
-    """Matrix of a linear stencil along the last axis, acting on the values
-    at the points free of n."""
-    return sp.csr_matrix(apply(np.eye(n)[free]).T)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,13 @@
 """Proximal-splitting solver for the discrete planning functional.
 
-Douglas-Rachford iteration on the product space of staggered variables
-U = (interior densities, free momenta) and cell-centered variables
-Vc = (Mc, Wc):
+Douglas-Rachford iteration on the staggered unknowns U = (m, w), the
+interior densities and free momenta, and the cell values V = (M, W):
 
-* G1(U, Vc) = indicator{continuity C U = d} + integrand J(Vc)
+* G1(U, V) = indicator{continuity C U = d} + integrand J(V)
   — prox splits into the affine continuity projection (pseudo-inverse of
   C C^T from its two 1-D factors) and the per-cell prox of the integrand;
-* G2(U, Vc) = indicator{Vc = A U + b}
-  — projection onto the graph of the averaging A (cached LU of I + A^T A).
+* G2(U, V) = indicator{V = A U + b}
+  — projection onto the graph of the averaging A (one cached LU per axis).
 
 The step sigma starts at SIGMA.  Every BALANCE_EVERY iterations it is
 doubled if ||y|| >= 2 sigma ||u|| and halved if 2 ||y|| <= sigma ||u||,
@@ -31,13 +30,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .functional import PrimalState, continuity_residual, integrand, prox_block
-from .grids import (
-    DensityField,
-    MomentumField,
-    ProblemSpec,
-    SpaceTimeGrid,
-    stencil_matrix,
-)
+from .grids import DensityField, MomentumField, ProblemSpec, SpaceTimeGrid
 
 
 SIGMA = 1.0  # initial prox step
@@ -68,96 +61,102 @@ class PrimalLog:
 
 
 class _Operators:
-    """Sparse operators and cached projection solvers for one grid.
+    """Stencil operators and cached projection solvers for one grid.
 
-    With the staggered unknowns ordered (interior densities, free momenta),
-    each time-major, the continuity operator is C = [D_t (x) I, -I (x) D_x]
-    and the cell averaging A = blockdiag(A_t (x) I, I (x) A_x), built from
-    the grid's 1-D difference and average stencils restricted to the free
-    nodes and faces.
+    The fields are m (n_t - 1, n_x), w (n_t, n_free: all faces on the torus,
+    the inner ones on the interval) and M, W (n_t, n_x).  C U = D_t m - D_x w
+    and A U = (A_t m, A_x w) are the grid's 1-D difference and average
+    stencils, one axis each, with the fixed edges (the data rows of m, the
+    no-flux faces of w) at 0.  So C C^T = G_t (x) I + I (x) G_x, G = D D^T,
+    and I + A^T A = blockdiag((I + A_t^T A_t) (x) I, I (x) (I + A_x^T A_x)).
     """
 
     def __init__(self, grid: SpaceTimeGrid):
         self.grid = grid
         nt, nx = grid.n_t, grid.n_x
-        # the time axis as an interval grid, whose dx is dt
-        time = SpaceTimeGrid(grid.T, 0.0, grid.T, nt, nt)
-        interior = slice(1, -1)
-        free = slice(None) if grid.periodic else interior  # no-flux faces
-        D_t, A_t = (stencil_matrix(f, nt + 1, interior)
-                    for f in (time.diff_x, time.avg_x))
-        D_x, A_x = (stencil_matrix(f, grid.n_faces, free)
+        self.free = slice(None) if grid.periodic else slice(1, -1)  # no-flux
+        n_free = nx if grid.periodic else nx - 1
+        self.shapes = (nt - 1, nx), (nt, n_free), (nt, nx), (nt, nx)
+        self.ends = np.cumsum([a * b for a, b in self.shapes])
+        self._m_pad, self._w_pad = np.zeros((nt + 1, nx)), np.zeros((nt, grid.n_faces))
+        # the 1-D matrices, (cells, free edges): each stencil on the identity
+        self._time = SpaceTimeGrid(grid.T, 0.0, grid.T, nt, nt)  # its dx is dt
+        D_t, A_t = (f(np.eye(nt + 1)[1:-1]).T
+                    for f in (self._time.diff_x, self._time.avg_x))
+        D_x, A_x = (f(np.eye(grid.n_faces)[self.free]).T
                     for f in (grid.diff_x, grid.avg_x))
-        I_t, I_x = sp.identity(nt), sp.identity(nx)
-        self.nm = (nt - 1) * nx
-
-        # format="csr": kron's block format would store the zeros of D_x, A_x
-        kron = functools.partial(sp.kron, format="csr")
-        self.C = sp.hstack([kron(D_t, I_x), -kron(I_t, D_x)], format="csr")
-        # C C^T = G_t (x) I + I (x) G_x, G = D D^T, is diagonalized by the
-        # eigenvectors of the 1-D Gram matrices.  eigh sorts ascending and each
-        # G's only null vector is the constant, so the one zero sum is (0, 0):
-        # the constant mode, outside range(C), which the pseudo-inverse drops.
-        l_t, self._Q_t = np.linalg.eigh((D_t @ D_t.T).toarray())
-        l_x, self._Q_x = np.linalg.eigh((D_x @ D_x.T).toarray())
+        # eigh sorts ascending and each G's only null vector is the constant,
+        # so the one zero sum is (0, 0): the constant mode, outside range(C),
+        # which the pseudo-inverse drops
+        l_t, self._Q_t = np.linalg.eigh(D_t @ D_t.T)
+        l_x, self._Q_x = np.linalg.eigh(D_x @ D_x.T)
         eig = l_t[:, None] + l_x[None, :]
         eig[0, 0] = np.inf  # 1 / inf = 0
         self._cc_pinv = 1.0 / eig
-        self.A = sp.block_diag([kron(A_t, I_x), kron(I_t, A_x)], format="csr")
-        n = self.A.shape[1]
-        self._graph_lu = splu(sp.csc_matrix(sp.eye(n) + self.A.T @ self.A))
+        self._lu_t, self._lu_x = (splu(sp.csc_matrix(np.eye(a.shape[1]) + a.T @ a))
+                                  for a in (A_t, A_x))
 
-    def data_vectors(self, spec: ProblemSpec):
-        """Continuity right-hand side d and averaging offset b from (m0, m1)."""
-        nt, nx = self.grid.n_t, self.grid.n_x
-        d = np.zeros(nt * nx)
-        d[:nx] = spec.m0 / self.grid.dt
-        d[-nx:] = -spec.m1 / self.grid.dt
-        b = np.zeros(2 * nt * nx)
-        b[:nx] = 0.5 * spec.m0
-        b[(nt - 1) * nx : nt * nx] += 0.5 * spec.m1
-        return d, b
+    def split(self, v: np.ndarray):
+        """The views (m, w, M, W) of one vector of all the unknowns."""
+        return tuple(part.reshape(shape) for part, shape in
+                     zip(np.split(v, self.ends[:-1]), self.shapes))
 
-    # -- staggered state <-> variable vector -------------------------------
-    def pack(self, state: PrimalState) -> np.ndarray:
-        m = state.m.values[1:-1].ravel()
-        w = state.w.values if self.grid.periodic else state.w.values[:, 1:-1]
-        return np.concatenate([m, w.ravel()])
+    # C and A apply the stencils to m and w padded with their fixed edges at
+    # 0 (scratch arrays whose edges stay 0); a transpose maps the cell values
+    # to the edges between them, on the torus starting before cell 0
+    def _padded(self, m, w):
+        self._m_pad[1:-1], self._w_pad[:, self.free] = m, w
+        return self._m_pad, self._w_pad
 
-    def unpack(self, U: np.ndarray, spec: ProblemSpec) -> PrimalState:
-        nt, nx = self.grid.n_t, self.grid.n_x
-        m = np.empty((nt + 1, nx))
-        m[0], m[-1] = spec.m0, spec.m1
-        m[1:-1] = U[: self.nm].reshape(nt - 1, nx)
-        if self.grid.periodic:
-            w = U[self.nm :].reshape(nt, nx)
-        else:
-            w = np.zeros((nt, nx + 1))
-            w[:, 1:-1] = U[self.nm :].reshape(nt, nx - 1)
-        return PrimalState(DensityField(self.grid, m), MomentumField(self.grid, w))
+    def _to_free(self, v):
+        return np.roll(v, 1, axis=-1) if self.grid.periodic else v
 
-    def project(self, U: np.ndarray, d: np.ndarray) -> np.ndarray:
-        r = (self.C @ U - d).reshape(self.grid.n_t, self.grid.n_x)
+    def C(self, m, w):
+        m, w = self._padded(m, w)
+        return self._time.diff_x(m.T).T - self.grid.diff_x(w)
+
+    def CT(self, lam):
+        return -self._time.diff_x(lam.T).T, self._to_free(self.grid.diff_x(lam))
+
+    def A(self, m, w):
+        m, w = self._padded(m, w)
+        return self._time.avg_x(m.T).T, self.grid.avg_x(w)
+
+    def AT(self, M, W):
+        return self._time.avg_x(M.T).T, self._to_free(self.grid.avg_x(W))
+
+    def project(self, m, w, d, out=None):
+        """Nearest (m', w') to (m, w) with C(m', w') = d, for d in the range
+        of C, by the pseudo-inverse of C C^T."""
         Q_t, Q_x = self._Q_t, self._Q_x
-        lam = Q_t @ ((Q_t.T @ r @ Q_x) * self._cc_pinv) @ Q_x.T
-        return U - self.C.T @ lam.ravel()
+        r = Q_t.T @ (self.C(m, w) - d) @ Q_x
+        pm, pw = self.CT(Q_t @ (r * self._cc_pinv) @ Q_x.T)
+        out = out or (pm, pw)
+        np.subtract(m, pm, out=out[0])
+        np.subtract(w, pw, out=out[1])
+        return out
 
-    def graph_project(self, U: np.ndarray, Vc: np.ndarray, b: np.ndarray):
-        Ustar = self._graph_lu.solve(U + self.A.T @ (Vc - b))
-        return Ustar, self.A @ Ustar + b
+    def graph_project(self, m, w, M, W, b):
+        """Nearest (U*, A U* + b) to (U, V) on the graph of the averaging:
+        (I + A^T A) U* = U + A^T (V - b), one LU solve per axis."""
+        am, aw = self.AT(M - b, W)
+        zm = self._lu_t.solve(m + am)
+        zw = self._lu_x.solve((w + aw).T).T
+        zM, zW = self.A(zm, zw)
+        return zm, zw, zM + b, zW
 
 
-@functools.lru_cache(maxsize=8)
-def _operators(grid: SpaceTimeGrid) -> _Operators:
-    return _Operators(grid)
+_operators = functools.lru_cache(maxsize=8)(_Operators)  # one set per grid
 
 
-def _initial_state(spec: ProblemSpec) -> PrimalState:
+def _data(spec: ProblemSpec):
+    """Continuity right-hand side d and averaging offset b, (n_t, n_x) each:
+    the parts of C and A on the fixed end rows m0, m1 of the density."""
     g = spec.grid
-    lam = np.linspace(0.0, 1.0, g.n_t + 1)[:, None]
-    m = (1.0 - lam) * spec.m0 + lam * spec.m1
-    w = np.zeros((g.n_t, g.n_faces))
-    return PrimalState(DensityField(g, m), MomentumField(g, w))
+    d, b = np.zeros((2, g.n_t, g.n_x))
+    d[0], d[-1] = spec.m0 / g.dt, -spec.m1 / g.dt
+    b[0], b[-1] = 0.5 * spec.m0, 0.5 * spec.m1
+    return d, b
 
 
 def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
@@ -167,13 +166,19 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     Hamiltonian family.
     """
     cfg = cfg or PrimalConfig()
-    ops = _operators(spec.grid)
-    d, b = ops.data_vectors(spec)
     g = spec.grid
-    nt, nx = g.n_t, g.n_x
-    U = ops.project(ops.pack(_initial_state(spec)), d)
-    Vc = ops.A @ U + b
-    sU, sV = U.copy(), Vc.copy()
+    ops = _operators(g)
+    d, b = _data(spec)
+    # shadow, prox output, reflection 2y - s and graph projection: each one
+    # vector of all the unknowns, with its (m, w, M, W) views; s starts at
+    # the straight line between the marginals at rest, made feasible
+    s, y, p, z = np.empty((4, ops.ends[-1]))
+    s_, y_, p_, z_ = map(ops.split, (s, y, p, z))
+    lam = np.linspace(0.0, 1.0, g.n_t + 1)[1:-1, None]
+    ops.project((1.0 - lam) * spec.m0 + lam * spec.m1, np.zeros(ops.shapes[1]),
+                d, out=s_[:2])
+    M, s_[3][...] = ops.A(*s_[:2])
+    np.add(M, b, out=s_[2])
 
     log = PrimalLog()
     sigma = SIGMA
@@ -181,22 +186,19 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     # of the last two outputs (the last output alone after a step change)
     mY = mY_prev = None
     for it in range(1, MAX_ITERS + 1):
-        yU = ops.project(sU, d)
-        mbar = sV[: nt * nx].reshape(nt, nx)
-        wbar = sV[nt * nx :].reshape(nt, nx)
+        ops.project(*s_[:2], d, out=y_[:2])
         m_start = mY if mY_prev is None else np.divide(
             mY * mY, mY_prev, out=mY.copy(), where=(mY > 0.0) & (mY_prev > 0.0))
         mY_prev = mY
         # the uniform dt*dx weight does not move the minimizer, so the
         # iteration minimizes the unweighted cell sum (better-scaled prox)
         mY, wY = prox_block(
-            mbar, wbar, sigma, spec.V, spec.hamiltonian, spec.coupling, m_start,
+            s_[2], s_[3], sigma, spec.V, spec.hamiltonian, spec.coupling, m_start,
         )
-        yV = np.concatenate([mY.ravel(), wY.ravel()])
+        y_[2][...], y_[3][...] = mY, wY
 
         if it % BALANCE_EVERY == 0:
-            y_norm = np.hypot(np.linalg.norm(yU), np.linalg.norm(yV))
-            su_norm = np.hypot(np.linalg.norm(sU - yU), np.linalg.norm(sV - yV))
+            y_norm, su_norm = np.linalg.norm(y), np.linalg.norm(s - y)
             if y_norm >= 2.0 * su_norm:  # ||y|| >= 2 sigma ||u||
                 step = min(2.0 * sigma, SIGMA_MAX)
             elif 2.0 * y_norm <= su_norm:
@@ -205,20 +207,16 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
                 step = sigma
             if step != sigma:
                 # y = prox_step(s') for s' = y + step*u: y and u stay
-                sU = yU + (step / sigma) * (sU - yU)
-                sV = yV + (step / sigma) * (sV - yV)
+                s[...] = y + (step / sigma) * (s - y)
                 sigma, mY_prev = step, None
 
-        zU, zV = ops.graph_project(2.0 * yU - sU, 2.0 * yV - sV, b)
-
-        dU = zU - yU
-        dV = zV - yV
-        sU += THETA * dU
-        sV += THETA * dV
-
-        scale = max(1.0, float(np.max(np.abs(yU))), float(np.max(np.abs(yV))))
-        # np.maximum, unlike max(), propagates a NaN from either block
-        fp = float(np.maximum(np.max(np.abs(dU)), np.max(np.abs(dV)))) / scale
+        np.subtract(2.0 * y, s, out=p)
+        for a, v in zip(z_, ops.graph_project(*p_, b)):
+            a[...] = v
+        z -= y
+        fp = float(np.max(np.abs(z))) / max(1.0, float(np.max(np.abs(y))))
+        z *= THETA
+        s += z
         log.iters = it
         log.fp_residual = fp
         # y - z is the primal gap and (y - z)/sigma the subgradient sum
@@ -232,12 +230,13 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
         log.reason = f"max_iters ({MAX_ITERS}) reached"
     log.sigma = sigma
 
-    state = ops.unpack(yU, spec)
+    m = np.concatenate([spec.m0[None], y_[0], spec.m1[None]])
     if spec.coupling.epsilon > 0:
         # interior densities can undershoot by splitting error; clip the dust
-        m = state.m.values.copy()
         np.clip(m, 1e-300, None, out=m)
-        state = PrimalState(DensityField(g, m), state.w)
+    w = np.zeros((g.n_t, g.n_faces))
+    w[:, ops.free] = y_[1]
+    state = PrimalState(DensityField(g, m), MomentumField(g, w))
     log.final_value = float(np.sum(integrand(mY, wY, spec)) * g.dt * g.dx)
     log.feasibility = float(np.max(np.abs(continuity_residual(state, spec))))
     return state, log

@@ -37,8 +37,11 @@ def _state(spec, m, w):
 def _project(state, spec):
     """Euclidean projection onto {continuity = 0, no-flux, endpoint data}."""
     ops = primal._operators(spec.grid)
-    d, _ = ops.data_vectors(spec)
-    return ops.unpack(ops.project(ops.pack(state), d), spec)
+    d, _ = primal._data(spec)
+    m, w = ops.project(state.m.values[1:-1], state.w.values[:, ops.free], d)
+    w_full = np.zeros_like(state.w.values)
+    w_full[:, ops.free] = w
+    return _state(spec, np.concatenate([spec.m0[None], m, spec.m1[None]]), w_full)
 
 
 def _uniform_spec(n_t=4, n_x=8, topology="interval-neumann", eps=0.5):
@@ -120,46 +123,78 @@ def _reference_operators(grid):
     return C, A
 
 
-@pytest.mark.parametrize("n_t", [2, 3, 7, 16])
-@pytest.mark.parametrize("n_x", [2, 3, 5, 16])
-@pytest.mark.parametrize("topology,x_min,x_max", [
+def _flat(*fields):
+    return np.concatenate([f.ravel() for f in fields])
+
+
+_REFERENCE_GRIDS = pytest.mark.parametrize("topology,x_min,x_max", [
     ("torus", 0.0, 1.0), ("interval-neumann", 0.0, 1.0),
     ("interval-neumann", -2.0, 2.0)])
-def test_operators_match_reference(n_t, n_x, topology, x_min, x_max):
+
+
+@pytest.mark.parametrize("n_t", [2, 3, 7, 16])
+@pytest.mark.parametrize("n_x", [2, 3, 5, 16])
+@_REFERENCE_GRIDS
+def test_operators_match_reference(n_t, n_x, topology, x_min, x_max, rng):
     grid = SpaceTimeGrid(1.0, x_min, x_max, n_t, n_x, topology)
     ops = primal._Operators(grid)
-    for got, want in zip((ops.C, ops.A), _reference_operators(grid)):
+    C, A = _reference_operators(grid)
+    m, w = (rng.standard_normal(shape) for shape in ops.shapes[:2])
+    lam, M, W = rng.standard_normal((3, n_t, n_x))
+    U = _flat(m, w)
+    assert C.shape[1] == U.size
+    for got, want in [(ops.C(m, w), C @ U), (ops.CT(lam), C.T @ lam.ravel()),
+                      (ops.A(m, w), A @ U), (ops.AT(M, W), A.T @ _flat(M, W))]:
+        got = _flat(*got) if isinstance(got, tuple) else got.ravel()
         assert got.shape == want.shape
-        assert np.array_equal(got.toarray(), want.toarray())
-        assert got.nnz == want.nnz  # no stored zeros
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("n_t", [2, 3, 7, 16])
+@pytest.mark.parametrize("n_x", [2, 3, 5, 16])
+@_REFERENCE_GRIDS
+def test_graph_project_matches_dense_solve(n_t, n_x, topology, x_min, x_max, rng):
+    # the per-axis solves against one dense solve of I + A^T A
+    grid = SpaceTimeGrid(1.0, x_min, x_max, n_t, n_x, topology)
+    ops = primal._Operators(grid)
+    A = _reference_operators(grid)[1].toarray()
+    m, w = (rng.standard_normal(shape) for shape in ops.shapes[:2])
+    M, W, b = rng.standard_normal((3, n_t, n_x))
+    b_flat = _flat(b, np.zeros_like(W))
+    U_star = np.linalg.solve(np.eye(A.shape[1]) + A.T @ A,
+                             _flat(m, w) + A.T @ (_flat(M, W) - b_flat))
+    want = _flat(U_star, A @ U_star + b_flat)
+    assert np.max(np.abs(_flat(*ops.graph_project(m, w, M, W, b)) - want)) <= 1e-12
 
 
 def test_operators_factor_once(monkeypatch):
-    # the graph projection's I + A^T A is the one sparse factorization; the
-    # continuity projection diagonalizes C C^T from its 1-D factors
+    # the graph projection's I + A^T A factors as one LU per axis, of
+    # I + A_t^T A_t and I + A_x^T A_x; the continuity projection
+    # diagonalizes C C^T from its 1-D factors
     calls = []
     monkeypatch.setattr(primal, "splu", lambda a: calls.append(a.shape))
-    grid = SpaceTimeGrid(1.0, 0.0, 1.0, 4, 6, "interval-neumann")
-    ops = primal._Operators(grid)
-    n = ops.A.shape[1]
-    assert calls == [(n, n)]
+    for topology, n_free in (("interval-neumann", 5), ("torus", 6)):
+        calls.clear()
+        primal._Operators(SpaceTimeGrid(1.0, 0.0, 1.0, 4, 6, topology))
+        assert calls == [(3, 3), (n_free, n_free)]
 
 
-@pytest.mark.parametrize("topology,x_min,x_max", [
-    ("torus", 0.0, 1.0), ("interval-neumann", 0.0, 1.0),
-    ("interval-neumann", -2.0, 2.0)])
+@_REFERENCE_GRIDS
 def test_project_is_least_norm_on_every_small_grid(topology, x_min, x_max, rng):
     # C C^T is singular (1^T C = 0); project must apply its pseudo-inverse on
     # every grid, the 8x5 interval among them, where an LU finds no pivot
     for n_t in range(2, 17):
         for n_x in range(2, 17):
-            ops = primal._Operators(SpaceTimeGrid(1.0, x_min, x_max, n_t, n_x,
-                                                  topology))
-            U = rng.standard_normal(ops.C.shape[1])
-            d = rng.standard_normal(ops.C.shape[0])
+            grid = SpaceTimeGrid(1.0, x_min, x_max, n_t, n_x, topology)
+            ops = primal._Operators(grid)
+            C = _reference_operators(grid)[0].toarray()
+            m, w = (rng.standard_normal(shape) for shape in ops.shapes[:2])
+            d = rng.standard_normal((n_t, n_x))
             d -= d.mean()  # the range of C
-            want = U - np.linalg.lstsq(ops.C.toarray(), ops.C @ U - d)[0]
-            assert np.max(np.abs(ops.project(U, d) - want)) <= 1e-12, (n_t, n_x)
+            U = _flat(m, w)
+            want = U - np.linalg.lstsq(C, C @ U - d.ravel())[0]
+            got = _flat(*ops.project(m, w, d))
+            assert np.max(np.abs(got - want)) <= 1e-12, (n_t, n_x)
 
 
 def test_projection_matches_dense_least_squares(rng):
