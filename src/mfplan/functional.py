@@ -95,12 +95,29 @@ def _reduced_gradient(m, mbar, wbar, sigma, V, hamiltonian: HamiltonianSpec,
 
     The momentum dual p solves sigma p + m H_p(p) = wbar and the optimal
     momentum is w = m H_p(p); the kinetic part contributes -H(p) to the
-    gradient and H_p^2/(sigma + m H_pp) to its derivative.
+    gradient and H_p^2/(sigma + m H_pp) to its derivative.  Both sums are
+    built in place, without the terms that vanish (eps = 0, f = 0).
     """
-    _, val, hp, hpp = invert_hp(hamiltonian, wbar, m, sigma)
+    grad, hp, hpp = invert_hp(hamiltonian, wbar, m, sigma)[1:]
     eps = coupling.epsilon
-    grad = -val + eps * np.log(m) + V + coupling.f(m) + (m - mbar) / sigma
-    curv = hp * hp / (sigma + m * hpp) + eps / m + coupling.f_prime(m) + 1.0 / sigma
+    f_zero = coupling.f_family == "zero" or coupling.f_params[0] == 0.0
+    term = np.empty_like(grad)
+    # grad = -H(p) + eps log m + V + f(m) + (m - mbar)/sigma
+    np.negative(grad, out=grad)
+    if eps > 0.0:
+        grad += np.multiply(np.log(m, out=term), eps, out=term)
+    grad += V
+    if not f_zero:
+        grad += coupling.f(m)
+    grad += np.divide(np.subtract(m, mbar, out=term), sigma, out=term)
+    # curv = H_p^2/(sigma + m H_pp) + eps/m + f'(m) + 1/sigma
+    curv = hp * hp
+    curv /= np.add(np.multiply(m, hpp, out=term), sigma, out=term)
+    if eps > 0.0:
+        curv += np.divide(eps, m, out=term)
+    if not f_zero:
+        curv += coupling.f_prime(m)
+    curv += 1.0 / sigma
     return grad, curv, hp
 
 
@@ -121,9 +138,12 @@ def prox_block(
     Eliminating w leaves a strictly convex scalar problem in m per cell
     with gradient _reduced_gradient, solved by one safeguarded Newton over
     the whole block (mbar, wbar and V broadcast together): in y = log m
-    when the entropy keeps the minimizer interior, in m itself over the
-    cells where m = 0 is not optimal otherwise.  A converged cell no
-    longer moves.
+    when the entropy keeps the minimizer interior, in m itself otherwise.
+    In that corner case (eps = 0, f(0+) finite) a cell where the gradient
+    at m = 0 is already >= 0 has m = 0 optimal: it starts at 0 with an
+    infinite tolerance, so it converges at its first evaluation and ends
+    at exactly m = w = 0, while the Newton runs on the whole block.  A
+    converged cell no longer moves.
     The KKT residual is at most 1e-11*max(1, |V| + |mbar|/sigma + H(wbar/sigma)).
 
     Newton starts at m_start, a guess of the minimizer (in a splitting
@@ -135,45 +155,49 @@ def prox_block(
     """
     mbar, wbar, V = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (mbar, wbar, V)))
-    h_top = invert_hp(hamiltonian, wbar, 0.0, sigma)[1]  # H(wbar/sigma) >= H(p)
-    tol = 1e-11 * np.maximum(1.0, np.abs(V) + np.abs(mbar) / sigma + h_top)
+    top = invert_hp(hamiltonian, wbar, 0.0, sigma)[1]  # H(wbar/sigma) >= H(p)
+    tol = 1e-11 * np.maximum(1.0, np.abs(V) + np.abs(mbar) / sigma + top)
+    top -= V  # now H(wbar/sigma) - V
+    interior = coupling.epsilon > 0.0 or (
+        coupling.f_family == "log" and coupling.f_params[0] > 0.0)
+    # eps = 0 and f(0+) finite: the corner m = 0 is optimal where the
+    # gradient is already >= 0 there
+    corner = None if interior else ~(coupling.f(1e-300) - top - mbar / sigma < 0.0)
     # for m >= 1 the entropy and f are >= 0, so the gradient is >= 0 at m_hi
-    m_hi = np.maximum(1.0, mbar + sigma * (h_top - V))
-    vel = np.zeros_like(mbar)
+    m_hi = np.maximum(np.multiply(top, sigma, out=top) + mbar, 1.0, out=top)
+    vel = None  # H_p(p) at the last evaluation
 
-    def in_log(y):
-        m = np.exp(y)
-        g, curv, vel[...] = _reduced_gradient(
-            m, mbar, wbar, sigma, V, hamiltonian, coupling)
-        return g, m * curv
+    if interior:
+        m = np.empty_like(mbar)  # exp(y) at the last evaluation
 
-    if coupling.epsilon > 0.0 or (
-        coupling.f_family == "log" and coupling.f_params[0] > 0.0
-    ):
-        hi = np.log(m_hi)
-        if m_start is None:
-            y0 = np.minimum(np.log(np.maximum(mbar, 1e-12)), hi)
-        else:
-            y0 = np.clip(np.log(np.maximum(m_start, 1e-300)), -745.0, hi)
-        # exp underflows below -746, where the gradient is -inf
-        m = np.exp(safeguarded_newton(in_log, y0, -746.0, hi, tol))
-    else:
-        # eps = 0 and f(0+) finite: the corner m = 0 is optimal where the
-        # gradient is already >= 0 there
-        m = np.zeros_like(mbar)
-        g0 = -h_top + V + coupling.f(np.full_like(mbar, 1e-300)) - mbar / sigma
-        free = g0 < 0.0
-        args = (mbar[free], wbar[free], sigma, V[free], hamiltonian, coupling)
-
-        def in_m(m):
-            g, curv, vel[free] = _reduced_gradient(m, *args)
+        def in_log(y):
+            nonlocal vel
+            g, curv, vel = _reduced_gradient(
+                np.exp(y, out=m), mbar, wbar, sigma, V, hamiltonian, coupling)
+            curv *= m
             return g, curv
 
-        m0 = 0.5 * m_hi[free]
+        hi = np.log(m_hi, out=m_hi)
+        start = (mbar, 1e-12) if m_start is None else (m_start, 1e-300)
+        # exp underflows below -746, where the gradient is -inf
+        safeguarded_newton(in_log, np.minimum(np.log(np.maximum(*start)), hi),
+                           -746.0, hi, tol)
+    else:
+        def in_m(y):
+            nonlocal vel
+            g, curv, vel = _reduced_gradient(
+                y, mbar, wbar, sigma, V, hamiltonian, coupling)
+            return g, curv
+
+        m = np.multiply(m_hi, 0.5)  # the start, then Newton's iterate
         if m_start is not None:
-            prev = np.broadcast_to(m_start, mbar.shape)[free]
-            m0 = np.where((prev > 0.0) & (prev < m_hi[free]), prev, m0)
-        m[free] = safeguarded_newton(in_m, m0, 0.0, m_hi[free], tol[free])
+            prev = np.broadcast_to(m_start, mbar.shape)
+            np.copyto(m, prev, where=(prev > 0.0) & (prev < m_hi))
+        np.copyto(m, 0.0, where=corner)
+        np.copyto(tol, np.inf, where=corner)
+        # curv at m = 0 may hold f'(0) = inf and 0 * inf: never read there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            safeguarded_newton(in_m, m, 0.0, m_hi, tol)
     return m, m * vel
 
 

@@ -87,18 +87,21 @@ class SpaceTimeGrid:
         return self.x_min + np.arange(self.n_xnodes) * self.dx
 
     # the two edge -> cell stencils along the last axis; on the torus the
-    # right edge of the last cell is edge 0
+    # right edge of the last cell is edge 0, appended by _closed
     def diff_x(self, values: np.ndarray) -> np.ndarray:
         """Difference quotient across each cell of edge values."""
-        if self.periodic:
-            return (np.roll(values, -1, axis=-1) - values) / self.dx
+        values = self._closed(values)
         return (values[..., 1:] - values[..., :-1]) / self.dx
 
     def avg_x(self, values: np.ndarray) -> np.ndarray:
         """Mean of edge values over each cell."""
-        if self.periodic:
-            return 0.5 * (values + np.roll(values, -1, axis=-1))
+        values = self._closed(values)
         return 0.5 * (values[..., :-1] + values[..., 1:])
+
+    def _closed(self, values: np.ndarray) -> np.ndarray:
+        if self.periodic:
+            return np.concatenate((values, values[..., :1]), axis=-1)
+        return values
 
     # the two node -> node first derivatives: centered inside, wrapped on the
     # torus and one-sided second order at the ends of an interval

@@ -114,26 +114,42 @@ class KernelSolveError(SolveError):
 def safeguarded_newton(fun, y, lo, hi, tol):
     """Solve g(y) = 0 cellwise for nondecreasing g by Newton with bisection.
 
-    fun(y) returns (g, g') at every cell of y, in y's shape.  [lo, hi] must
-    bracket every root; its endpoints are never evaluated.  Every round
-    evaluates every cell, and a cell with |g| <= tol no longer moves, so its
-    value is the last one evaluated; a Newton step that leaves the bracket
-    is replaced by the bracket's midpoint.  Raises KernelSolveError when a
+    fun(y) returns (g, g') at every cell of y, in y's shape.  The iterates
+    are written into y itself when it is a writable float array (else into
+    a copy), so fun must not keep y, and the caller must not reuse the
+    start.  [lo, hi] must bracket every root; its endpoints are evaluated
+    only where a cell starts there.  Every round evaluates every cell, and
+    a cell with |g| <= tol no longer moves, so its value is the last one
+    evaluated, bit for bit (with tol = inf a cell stays at its start; a
+    NaN g never converges).  A Newton step that leaves the bracket is
+    replaced by the bracket's midpoint.  Raises KernelSolveError when a
     cell has not converged after MAX_ITER evaluations.
     """
-    y = np.array(y, dtype=float)
-    lo, hi = (np.array(np.broadcast_to(a, y.shape), dtype=float) for a in (lo, hi))
-    for _ in range(MAX_ITER):
+    y = np.require(y, dtype=float, requirements="W")
+    lo, hi = (np.full(y.shape, a, dtype=float) for a in (lo, hi))
+    live, side, inside = (np.empty(y.shape, dtype=bool) for _ in range(3))
+    step = np.empty_like(y)  # |g|, then the Newton step, then the midpoint
+    for k in range(MAX_ITER):
         g, gp = fun(y)
-        live = ~(np.abs(g) <= tol)
-        if not live.any():
+        np.less_equal(np.abs(g, out=step), tol, out=live)
+        if live.all():
             return y
-        np.copyto(lo, y, where=live & (g < 0))
-        np.copyto(hi, y, where=live & (g > 0))
+        np.logical_not(live, out=live)
+        if k == MAX_ITER - 1:
+            break  # the error below reads this round's g
+        # masked copies by putmask, faster than copyto(where=) on a mixed
+        # mask; a converged cell never reads its bracket again
+        np.putmask(lo, np.less(g, 0.0, out=side), y)
+        np.putmask(hi, np.greater(g, 0.0, out=side), y)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = y - g / gp
-            inside = (step > lo) & (step < hi)
-            np.copyto(y, np.where(inside, step, 0.5 * (lo + hi)), where=live)
+            np.subtract(y, np.divide(g, gp, out=step), out=step)
+        del g, gp  # free them before the next evaluation makes its own
+        # a live cell takes its Newton step if it stays inside the bracket
+        np.logical_and(np.greater(step, lo, out=side), np.less(step, hi, out=inside),
+                       out=inside)
+        np.putmask(y, np.logical_and(inside, live, out=inside), step)
+        if np.logical_xor(live, inside, out=live).any():  # live and outside
+            np.putmask(y, live, np.multiply(np.add(lo, hi, out=step), 0.5, out=step))
     raise KernelSolveError(
         f"safeguarded Newton left {live.sum()} cells unconverged after "
         f"{MAX_ITER} evaluations; worst residual {np.max(np.abs(g[live])):.3e}"
@@ -147,13 +163,15 @@ def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0):
     radial H the left side is increasing and odd in p, so the root lies
     between 0 and rhs/sigma, and between 0 and varpi + (2|rhs|/(m s q))^{1/(q-1)}
     because H_p(p) >= s q 2^{min(q-2,0)} |p|^{q-1} for |p| >= varpi.
-    Closed form for quadratic H; safeguarded Newton from that edge otherwise.
+    Closed form for quadratic H, whose H_pp is returned as the scalar
+    H.scale (it does not depend on p); safeguarded Newton from that edge
+    otherwise.
     """
     rhs = np.asarray(rhs, dtype=float)
-    m = np.broadcast_to(np.asarray(m, dtype=float), rhs.shape)
     if H.family == QUADRATIC:
-        p = rhs / (sigma + H.scale * m)
-        return (p, *_h_eval(H, p))
+        p = rhs / (sigma + H.scale * np.asarray(m, dtype=float))
+        return p, 0.5 * H.scale * p * p, H.scale * p, H.scale
+    m = np.broadcast_to(np.asarray(m, dtype=float), rhs.shape)
     a = np.abs(rhs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         reach = H.varpi + (2.0 * a / (m * H.scale * H.q)) ** (1.0 / (H.q - 1.0))

@@ -109,7 +109,9 @@ class _Operators:
         return self._m_pad, self._w_pad
 
     def _to_free(self, v):
-        return np.roll(v, 1, axis=-1) if self.grid.periodic else v
+        if self.grid.periodic:
+            return np.concatenate((v[..., -1:], v[..., :-1]), axis=-1)
+        return v
 
     def C(self, m, w):
         m, w = self._padded(m, w)
@@ -136,14 +138,21 @@ class _Operators:
         np.subtract(w, pw, out=out[1])
         return out
 
-    def graph_project(self, m, w, M, W, b):
+    def graph_project(self, m, w, M, W, b, out=None):
         """Nearest (U*, A U* + b) to (U, V) on the graph of the averaging:
-        (I + A^T A) U* = U + A^T (V - b), one LU solve per axis."""
+        (I + A^T A) U* = U + A^T (V - b), one LU solve per axis.  The result
+        is written into out, four arrays shaped like (m, w, M, W), when it
+        is given; the inputs are never written."""
         am, aw = self.AT(M - b, W)
         zm = self._lu_t.solve(m + am)
         zw = self._lu_x.solve((w + aw).T).T
         zM, zW = self.A(zm, zw)
-        return zm, zw, zM + b, zW
+        zM += b
+        if out is None:
+            return zm, zw, zM, zW
+        for a, v in zip(out, (zm, zw, zM, zW)):
+            a[...] = v
+        return out
 
 
 _operators = functools.lru_cache(maxsize=8)(_Operators)  # one set per grid
@@ -210,11 +219,12 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
                 s[...] = y + (step / sigma) * (s - y)
                 sigma, mY_prev = step, None
 
-        np.subtract(2.0 * y, s, out=p)
-        for a, v in zip(z_, ops.graph_project(*p_, b)):
-            a[...] = v
+        np.multiply(y, 2.0, out=p)
+        p -= s
+        ops.graph_project(*p_, b, out=z_)
         z -= y
-        fp = float(np.max(np.abs(z))) / max(1.0, float(np.max(np.abs(y))))
+        # max |v| as max(max v, -min v), without a temporary
+        fp = float(max(z.max(), -z.min()) / max(1.0, y.max(), -y.min()))
         z *= THETA
         s += z
         log.iters = it

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from mfplan import functional
+from mfplan import functional, primal
 from mfplan.functional import (
     PrimalState,
     center_density,
@@ -23,7 +24,7 @@ from mfplan.hamiltonian import (
     legendre_L,
 )
 
-from conftest import make_gibbs_spec
+from conftest import make_bump_spec, make_congestion_spec, make_gibbs_spec
 
 QUAD_H = HamiltonianSpec()
 
@@ -404,3 +405,66 @@ def test_functional_torus_shift_invariance(rng):
     s2 = _state(spec, np.roll(m, 3, axis=1), np.roll(w, 3, axis=1))
     assert functional_value(s1, spec) == pytest.approx(
         functional_value(s2, spec), rel=1e-13)
+
+
+class _Recorded(Exception):
+    pass
+
+
+def _recorded_prox_inputs(spec, call, monkeypatch):
+    """The arguments of solve_primal's prox_block call number `call`."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        if len(calls) == call:
+            raise _Recorded
+        return prox_block(*args)
+
+    monkeypatch.setattr(primal, "prox_block", record)
+    with pytest.raises(_Recorded):
+        primal.solve_primal(spec)
+    return tuple(np.array(a) if isinstance(a, np.ndarray) else a
+                 for a in calls[-1])
+
+
+def _peak_blocks(args):
+    """Peak traced memory of one warm prox_block call, in input blocks."""
+    prox_block(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m, w = prox_block(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / args[0].nbytes, m, w
+
+
+# the bounds sit just above the measured peaks, 14.40 input blocks on the
+# log branch and 11.62 on the corner branch
+@pytest.mark.parametrize("make_spec, call, bound", [
+    (lambda: make_congestion_spec(128), 100, 14.5),
+    (lambda: make_bump_spec(64, eps=0.0), 200, 11.7),
+], ids=["congestion-128-log", "bump-64-eps0-corner"])
+def test_prox_block_temporaries(make_spec, call, bound, monkeypatch):
+    spec = make_spec()
+    args = _recorded_prox_inputs(spec, call, monkeypatch)
+    assert args[0].shape == (spec.grid.n_t, spec.grid.n_x)
+    assert _peak_blocks(args)[0] <= bound
+
+
+def test_prox_corner_cells_end_at_zero(monkeypatch):
+    # the sweep's eps = 0 instance has no corner cell, so push the first
+    # eight time rows' mbar below zero: there m = 0 is optimal (f = 0)
+    mbar, wbar, sigma, V, H, coupling, m_start = _recorded_prox_inputs(
+        make_bump_spec(64, eps=0.0), 200, monkeypatch)
+    m_all, w_all = prox_block(mbar, wbar, sigma, V, H, coupling, m_start)
+    # the gradient at m = 0 is -H(wbar/sigma) + V - mbar/sigma, 1/sigma here
+    mbar[:8] = sigma * (V - 0.5 * (wbar[:8] / sigma) ** 2) - 1.0
+    corner = ~(-0.5 * (wbar / sigma) ** 2 + V - mbar / sigma < 0.0)
+    assert corner[:8].all() and not corner[8:].any()
+    m, w = prox_block(mbar, wbar, sigma, V, H, coupling, m_start)
+    assert np.all(m[:8] == 0.0) and np.all(w[:8] == 0.0)
+    # the other cells take the same Newton iterates as without the corner
+    assert np.array_equal(m[8:], m_all[8:]) and np.array_equal(w[8:], w_all[8:])

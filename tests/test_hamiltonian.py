@@ -167,6 +167,43 @@ def test_newton_raises_typed_error():
     assert issubclass(KernelSolveError, RuntimeError)
 
 
+@pytest.mark.parametrize("nan_tol", [1e-13, np.inf])
+def test_newton_nan_cell_stays_live(nan_tol):
+    # a NaN g never passes |g| <= tol, not even an infinite tol; the other
+    # cells converge, and the error names the one cell left
+    c = np.array([2.0, 10.0, -3.0])
+
+    def fun(y):
+        g = y**3 + y - c
+        g[1] = np.nan
+        return g, 3.0 * y * y + 1.0
+
+    tol = np.array([1e-13, nan_tol, 1e-13])
+    with pytest.raises(KernelSolveError, match="left 1 cells unconverged"):
+        safeguarded_newton(fun, np.zeros(3), -10.0, 10.0, tol)
+
+
+def test_newton_returns_last_evaluated_values():
+    # the cells converge in different rounds (cell 4, with an infinite tol,
+    # at its first evaluation; cell 3, with a loose one, early); each
+    # returns, bit for bit, the value it was last evaluated at
+    c = np.array([2.0, 10.0, -3.0, 0.5, 7.0])
+    seen = []
+
+    def fun(y):
+        seen.append(y.copy())  # y itself is updated in place
+        return y**3 + y - c, 3.0 * y * y + 1.0
+
+    tol = np.array([1e-13, 1e-13, 1e-13, 1e-2, np.inf])
+    y = safeguarded_newton(fun, np.full(5, 0.25), -10.0, 10.0, tol)
+    assert np.array_equal(y, seen[-1])
+    # the first evaluation from which each cell no longer moves
+    stops = [min(i for i in range(len(seen)) if all(v[k] == y[k] for v in seen[i:]))
+             for k in range(5)]
+    assert stops[4] == 0 and y[4] == 0.25
+    assert 0 < stops[3] < min(stops[:3])
+
+
 # ---------------------------------------------------------------------------
 # couplings
 # ---------------------------------------------------------------------------
