@@ -10,7 +10,7 @@ Two independent routes to the same optimum:
 plus numerical checks of the associated a-priori estimates (``estimates``)
 and a config-driven CLI (``cli``).
 """
-from .dual import assemble_jacobian, assemble_residual, m_from_u, solve_dual
+from .dual import m_from_u, solve_dual
 from .functional import PrimalState, continuity_residual, functional_value, prox_cell
 from .grids import (
     DensityField,
@@ -18,7 +18,6 @@ from .grids import (
     PotentialField,
     ProblemSpec,
     SpaceTimeGrid,
-    mass,
     validate_problem,
 )
 from .hamiltonian import (
@@ -31,11 +30,11 @@ from .primal import PrimalConfig, solve_primal
 
 __all__ = [
     "SpaceTimeGrid", "DensityField", "MomentumField", "PotentialField",
-    "ProblemSpec", "validate_problem", "mass",
+    "ProblemSpec", "validate_problem",
     "HamiltonianSpec", "CouplingSpec", "h_eval", "legendre_L",
     "PrimalState", "functional_value", "continuity_residual", "prox_cell",
     "PrimalConfig", "solve_primal",
-    "assemble_residual", "assemble_jacobian", "m_from_u", "solve_dual",
+    "m_from_u", "solve_dual",
 ]
 
 __version__ = "0.1.0"

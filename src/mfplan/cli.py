@@ -122,9 +122,9 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
         # refused before --dry-run returns and before --out is made
         if verb == "sweep" and not cfg.sweep_eps:
             raise ConfigError("sweep.eps_list", "missing required key")
-        if verb == "sweep" and cfg.spec.coupling.f_family != "zero":
+        if verb == "sweep" and not cfg.spec.coupling.f_zero:
             raise ConfigError("problem.coupling.f_family",
-                              "the eps sweep requires the zero coupling family")
+                              "the eps sweep requires f = 0")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,10 +34,12 @@ level is solved to the same max-norm residual NEWTON_TOL in at most
 MAX_NEWTON_ITERS steps (Kelley, Solving Nonlinear Equations with Newton's
 Method, SIAM 2003, ch. 5); all three are constants, not settings.
 
-The first derivatives are the grid's node stencils diff_t_nodes and
-diff_x_nodes (one-sided second order at t in {0, T} and on the lateral
-Neumann rows), u_tx is their composition, and u_tt, u_xx are centered
-second differences.  The Jacobian is the exact linearization
+The derivatives are the grid's node stencils: the first derivatives
+diff_t_nodes and diff_x_nodes (one-sided second order at t in {0, T} and
+on the lateral Neumann rows), their composition for u_tx, and the centered
+second differences diff2_t_nodes and diff2_x_nodes for u_tt and u_xx.  The
+interior and time-boundary rows sit on the grid's free space nodes, the
+lateral rows on the two others.  The Jacobian is the exact linearization
 sum_k diag(c_k) S_k over D_t (x) I, I (x) D_x, D_tt (x) I, I (x) D_xx and
 D_t (x) D_x, built once per mesh from the same stencils, and keeps 9, 5 and
 3 entries per interior, time-boundary and lateral row.
@@ -68,13 +70,6 @@ class DualSolveError(SolveError):
     level of the nested solve."""
 
 
-@dataclass(frozen=True)
-class DualResidual:
-    interior: np.ndarray  # (n_t-1, #interior space nodes)
-    boundary: np.ndarray  # (2, #interior space nodes), rows t=0 and t=T
-    lateral: np.ndarray | None  # (2, n_t+1) for interval topology
-
-
 @dataclass
 class DualLog:
     stages: list = field(default_factory=list)  # one per mesh level, coarsest first
@@ -91,10 +86,8 @@ def _require_smooth(spec: ProblemSpec):
 
 def _kappa_column(g) -> np.ndarray:
     """dR/dkappa: +1 on the interior and t = 0 rows, -1 on the t = T rows."""
-    e = np.ones((g.n_t + 1, g.n_xnodes))
-    e[-1] = -1.0
-    if not g.periodic:
-        e[:, [0, -1]] = 0.0  # lateral Neumann rows
+    e = np.zeros((g.n_t + 1, g.n_xnodes))  # zero on the lateral Neumann rows
+    e[:-1, g.free], e[-1, g.free] = 1.0, -1.0
     return e
 
 
@@ -111,38 +104,18 @@ def _gauge_row(spec: ProblemSpec) -> np.ndarray:
     return ell
 
 
-def _inner(g) -> slice:
-    """The space nodes of the interior and time-boundary rows."""
-    return slice(None) if g.periodic else slice(1, -1)
-
-
-def _diff2(v: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    """Centered second difference at the nodes along the last axis: wrapped
-    on a circle, zero at the ends of an interval."""
-    out = (np.roll(v, -1, axis=-1) - 2 * v + np.roll(v, 1, axis=-1)) / h**2
-    if not periodic:
-        out[..., [0, -1]] = 0.0
-    return out
-
-
 def _coefficients(g, interior, hp_boundary) -> np.ndarray:
     """The five node fields c_k of J = sum_k diag(c_k) S_k: a_t, a_x, a_tt,
     a_xx, a_tx on the interior rows, c_t = -1 and c_x = H_p on the
     time-boundary rows, c_x = 1 on the lateral rows, zero elsewhere."""
-    inner = _inner(g)
     c = np.zeros((5, g.n_t + 1, g.n_xnodes))
     for ck, a in zip(c, interior):
-        ck[1:-1, inner] = a
-    c[0, [0, -1], inner] = -1.0
-    c[1, [0, -1], inner] = hp_boundary
+        ck[1:-1, g.free] = a
+    c[0, [0, -1], g.free] = -1.0
+    c[1, [0, -1], g.free] = hp_boundary
     if not g.periodic:
         c[1][:, [0, -1]] = 1.0
     return c
-
-
-def _stencil_matrix(apply, n: int) -> sp.csr_matrix:
-    """Matrix of a linear stencil along the last axis of n values."""
-    return sp.csr_matrix(apply(np.eye(n)).T)
 
 
 @functools.lru_cache(maxsize=1)
@@ -152,10 +125,9 @@ def _stencils(g) -> tuple[np.ndarray, ...]:
     also reaches rows whose coefficient is always zero, and storing those
     entries would widen the pattern and the LU fill."""
     nt1, nn = g.n_t + 1, g.n_xnodes
-    D_t, D_tt = (_stencil_matrix(f, nt1) for f in (
-        lambda v: g.diff_t_nodes(v.T).T, lambda v: _diff2(v, g.dt, False)))
-    D_x, D_xx = (_stencil_matrix(f, nn) for f in (
-        g.diff_x_nodes, lambda v: _diff2(v, g.dx, g.periodic)))
+    # a time stencil on the identity is its matrix, a space one the transpose
+    D_t, D_tt = (sp.csr_matrix(f(np.eye(nt1))) for f in (g.diff_t_nodes, g.diff2_t_nodes))
+    D_x, D_xx = (sp.csr_matrix(f(np.eye(nn)).T) for f in (g.diff_x_nodes, g.diff2_x_nodes))
     I_t, I_x = sp.identity(nt1), sp.identity(nn)
     S = sp.vstack([sp.kron(a, b, format="coo") for a, b in (
         (D_t, I_x), (I_t, D_x), (D_tt, I_x), (I_t, D_xx), (D_t, D_x))], format="coo")
@@ -168,9 +140,9 @@ def _assemble(u: np.ndarray, spec: ProblemSpec, kappa: float = 0.0,
     """Node-indexed residual and optionally the sparse Jacobian in u."""
     g = spec.grid
     H, C = spec.hamiltonian, spec.coupling
-    inner, ends = _inner(g), [0, -1]
+    inner, ends = g.free, [0, -1]
     u_t, u_x = g.diff_t_nodes(u), g.diff_x_nodes(u)
-    u_tt, u_xx = _diff2(u.T, g.dt, False).T, _diff2(u, g.dx, g.periodic)
+    u_tt, u_xx = g.diff2_t_nodes(u), g.diff2_x_nodes(u)
     ut, ux, utt, uxx, utx = (d[1:-1, inner] for d in (
         u_t, u_x, u_tt, u_xx, g.diff_t_nodes(u_x)))
     Vn, dv = spec.V_nodes[inner], g.diff_x_nodes(spec.V_nodes)[inner]
@@ -199,24 +171,6 @@ def _assemble(u: np.ndarray, spec: ProblemSpec, kappa: float = 0.0,
     srow, cols, vals = _stencils(g)  # the row in S also picks c_k at that row
     J = sp.csc_matrix((c.ravel()[srow] * vals, (srow % u.size, cols)), shape=(u.size,) * 2)
     return R, J
-
-
-def assemble_residual(u: PotentialField, spec: ProblemSpec,
-                      kappa: float = 0.0) -> DualResidual:
-    """PDE rows of the potential system at (u, kappa), split by row type."""
-    _require_smooth(spec)
-    R, _ = _assemble(u.values, spec, kappa, with_jacobian=False)
-    inner = _inner(spec.grid)
-    lateral = None if spec.grid.periodic else R[:, [0, -1]].T
-    return DualResidual(interior=R[1:-1, inner], boundary=R[[0, -1], inner],
-                        lateral=lateral)
-
-
-def assemble_jacobian(u: PotentialField, spec: ProblemSpec) -> sp.csc_matrix:
-    """Exact linearization in u of assemble_residual (node-flattened ordering)."""
-    _require_smooth(spec)
-    _, J = _assemble(u.values, spec, with_jacobian=True)
-    return J
 
 
 def m_from_u(u: PotentialField, spec: ProblemSpec) -> DensityField:

@@ -216,7 +216,7 @@ def _theta_constant(spec: ProblemSpec) -> float:
 def check_local_gradient_estimate(u: PotentialField, m: DensityField,
                                   spec: ProblemSpec) -> CheckResult:
     """Fit the barrier in theta*H(Du) + eps*log m <= L(t^-2+(T-t)^-2) + L0."""
-    if spec.coupling.f_family != "zero":
+    if not spec.coupling.f_zero:
         return CheckResult("local_gradient_estimate", 0.0, 0.0, 0.0, True,
                            skipped=True, reason="requires f = 0")
     g = spec.grid
@@ -428,8 +428,6 @@ def eps_sweep(spec: ProblemSpec, eps_list, cfg=None) -> SweepReport:
     e(eps) = max_t L1 distance between the solve and the displacement
     interpolation; passes iff e is nonincreasing down to the floor 0.25*dx.
     """
-    if spec.coupling.f_family != "zero":
-        raise ValueError("the eps sweep requires the zero coupling family")
     g = spec.grid
     oracle = geodesic_oracle_1d(spec.m0, spec.m1, g)
     errors, converged = [], []
@@ -457,9 +455,7 @@ def dual_as_primal_state(u: PotentialField, m: DensityField,
                          spec: ProblemSpec) -> PrimalState:
     """Rebuild (m, w = m H_p(Du)) on the staggered grid from the dual fields."""
     g = spec.grid
-    u_tc = 0.5 * (u.values[:-1] + u.values[1:])  # (n_t, n_nodes)
-    m_tc = 0.5 * (m.values[:-1] + m.values[1:])  # (n_t, n_x) at cells
-    w = cells_to_nodes(m_tc, g) * _hp_nodes(u_tc, spec)
+    w = cells_to_nodes(g.avg_t(m.values), g) * _hp_nodes(g.avg_t(u.values), spec)
     return PrimalState(m, MomentumField(g, w))
 
 

@@ -43,11 +43,6 @@ class PrimalState:
         return self.m.grid
 
 
-def center_density(m_values: np.ndarray) -> np.ndarray:
-    """Average density to time-cells: (n_t+1, n_x) -> (n_t, n_x)."""
-    return 0.5 * (m_values[:-1] + m_values[1:])
-
-
 def integrand(m_c, w_c, spec: ProblemSpec) -> np.ndarray:
     """Per-(time-cell, space-cell) integrand of the objective."""
     eps = spec.coupling.epsilon
@@ -61,7 +56,7 @@ def integrand(m_c, w_c, spec: ProblemSpec) -> np.ndarray:
 def functional_value(state: PrimalState, spec: ProblemSpec) -> float:
     if state.grid != spec.grid:
         raise ValueError("state grid does not match problem grid")
-    m_c = center_density(state.m.values)
+    m_c = spec.grid.avg_t(state.m.values)
     w_c = spec.grid.avg_x(state.w.values)
     if np.any(m_c < 0.0):
         return math.inf
@@ -81,8 +76,7 @@ def continuity_residual(state: PrimalState, spec: ProblemSpec) -> np.ndarray:
     m = state.m.values.copy()
     m[0] = spec.m0
     m[-1] = spec.m1
-    dm = (m[1:] - m[:-1]) / g.dt
-    return dm - g.diff_x(state.w.values)
+    return g.diff_t(m) - g.diff_x(state.w.values)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +93,7 @@ def _reduced_gradient(m, mbar, wbar, sigma, V, hamiltonian: HamiltonianSpec,
     built in place, without the terms that vanish (eps = 0, f = 0).
     """
     grad, hp, hpp = invert_hp(hamiltonian, wbar, m, sigma)[1:]
-    eps = coupling.epsilon
-    f_zero = coupling.f_family == "zero" or coupling.f_params[0] == 0.0
+    eps, f_zero = coupling.epsilon, coupling.f_zero
     term = np.empty_like(grad)
     # grad = -H(p) + eps log m + V + f(m) + (m - mbar)/sigma
     np.negative(grad, out=grad)

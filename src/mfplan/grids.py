@@ -11,6 +11,15 @@ with n_faces = n_nodes = n_x+1 on the interval and n_x on the torus (faces
 and nodes coincide with cell edges; the space index wraps).  This layout
 makes the discrete continuity equation m_t = D_x w and the discrete
 integration by parts exact, which the duality checks rely on.
+
+The grid owns the layout's stencils, so both solvers share one copy:
+
+* edge -> cell, along time (first axis) and space (last axis): the
+  difference quotients diff_t, diff_x and the means avg_t, avg_x;
+* node -> node: the first derivatives diff_t_nodes, diff_x_nodes and the
+  second differences diff2_t_nodes, diff2_x_nodes;
+* the no-flux edge set: free, the slice of faces (and space nodes) off the
+  boundary, all of them on the torus and the inner ones on an interval.
 """
 from __future__ import annotations
 
@@ -86,6 +95,20 @@ class SpaceTimeGrid:
     def x_nodes(self) -> np.ndarray:
         return self.x_min + np.arange(self.n_xnodes) * self.dx
 
+    @property
+    def free(self) -> slice:
+        """The faces (and space nodes) off the no-flux boundary."""
+        return slice(None) if self.periodic else slice(1, -1)
+
+    # the two time-node -> time-cell stencils along the first axis
+    def diff_t(self, values: np.ndarray) -> np.ndarray:
+        """Difference quotient across each time cell of time-node values."""
+        return (values[1:] - values[:-1]) / self.dt
+
+    def avg_t(self, values: np.ndarray) -> np.ndarray:
+        """Mean of time-node values over each time cell."""
+        return 0.5 * (values[:-1] + values[1:])
+
     # the two edge -> cell stencils along the last axis; on the torus the
     # right edge of the last cell is edge 0, appended by _closed
     def diff_x(self, values: np.ndarray) -> np.ndarray:
@@ -114,6 +137,16 @@ class SpaceTimeGrid:
         the ends of an interval these are the lateral Neumann rows."""
         return _diff_nodes(values, self.dx, self.periodic)
 
+    # the two node -> node centered second differences: wrapped on the torus
+    # and zero at t in {0, T} and at the ends of an interval
+    def diff2_t_nodes(self, values: np.ndarray) -> np.ndarray:
+        """Second time difference at the time nodes (first axis)."""
+        return _diff2_nodes(values.T, self.dt, False).T
+
+    def diff2_x_nodes(self, values: np.ndarray) -> np.ndarray:
+        """Second space difference at the space nodes (last axis)."""
+        return _diff2_nodes(values, self.dx, self.periodic)
+
 
 def _diff_nodes(v: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     out = np.roll(v, -1, axis=-1) - np.roll(v, 1, axis=-1)
@@ -121,6 +154,13 @@ def _diff_nodes(v: np.ndarray, h: float, periodic: bool) -> np.ndarray:
         out[..., 0] = -3 * v[..., 0] + 4 * v[..., 1] - v[..., 2]
         out[..., -1] = 3 * v[..., -1] - 4 * v[..., -2] + v[..., -3]
     return out / (2 * h)
+
+
+def _diff2_nodes(v: np.ndarray, h: float, periodic: bool) -> np.ndarray:
+    out = (np.roll(v, -1, axis=-1) - 2 * v + np.roll(v, 1, axis=-1)) / h**2
+    if not periodic:
+        out[..., [0, -1]] = 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -162,14 +202,6 @@ class PotentialField:
         if not np.all(np.isfinite(v)):
             raise ValueError("potential must be finite at every node")
         object.__setattr__(self, "values", v)
-
-
-def mass(density: DensityField, t_index: int) -> float:
-    """Discrete spatial integral of the density at one time node."""
-    values = density.values
-    if not -values.shape[0] <= t_index < values.shape[0]:
-        raise IndexError(f"t_index {t_index} out of range")
-    return float(np.sum(values[t_index]) * density.grid.dx)
 
 
 @dataclass(frozen=True)

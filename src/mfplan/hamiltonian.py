@@ -291,6 +291,11 @@ class CouplingSpec:
         return self.f(m) + self.epsilon * np.log(np.asarray(m, dtype=float))
 
     @property
+    def f_zero(self) -> bool:
+        """f vanishes identically: the zero family, or a power or log with c = 0."""
+        return self.f_family == "zero" or self.f_params[0] == 0.0
+
+    @property
     def c0_r0(self) -> tuple[float, float] | None:
         """(c0, r0) with f'(r) >= c0/r for r >= r0, when the hypothesis holds."""
         if self.f_family == "power":

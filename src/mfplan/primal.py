@@ -63,28 +63,25 @@ class PrimalLog:
 class _Operators:
     """Stencil operators and cached projection solvers for one grid.
 
-    The fields are m (n_t - 1, n_x), w (n_t, n_free: all faces on the torus,
-    the inner ones on the interval) and M, W (n_t, n_x).  C U = D_t m - D_x w
-    and A U = (A_t m, A_x w) are the grid's 1-D difference and average
-    stencils, one axis each, with the fixed edges (the data rows of m, the
-    no-flux faces of w) at 0.  So C C^T = G_t (x) I + I (x) G_x, G = D D^T,
-    and I + A^T A = blockdiag((I + A_t^T A_t) (x) I, I (x) (I + A_x^T A_x)).
+    The fields are m (n_t - 1, n_x), w on the n_t time cells and the grid's
+    free faces (all of them on the torus, the inner ones on the interval)
+    and M, W (n_t, n_x).  C U = D_t m - D_x w and A U = (A_t m, A_x w) are
+    the grid's edge -> cell stencils diff_t, diff_x and avg_t, avg_x, one
+    axis each, with the fixed edges (the data rows of m, the no-flux faces
+    of w) at 0.  So C C^T = G_t (x) I + I (x) G_x, G = D D^T, and
+    I + A^T A = blockdiag((I + A_t^T A_t) (x) I, I (x) (I + A_x^T A_x)).
     """
 
     def __init__(self, grid: SpaceTimeGrid):
         self.grid = grid
         nt, nx = grid.n_t, grid.n_x
-        self.free = slice(None) if grid.periodic else slice(1, -1)  # no-flux
-        n_free = nx if grid.periodic else nx - 1
-        self.shapes = (nt - 1, nx), (nt, n_free), (nt, nx), (nt, nx)
+        # the 1-D matrices, (cells, free edges): each stencil on the identity
+        D_t, A_t = (f(np.eye(nt + 1)[:, 1:-1]) for f in (grid.diff_t, grid.avg_t))
+        D_x, A_x = (f(np.eye(grid.n_faces)[grid.free]).T
+                    for f in (grid.diff_x, grid.avg_x))
+        self.shapes = (nt - 1, nx), (nt, D_x.shape[1]), (nt, nx), (nt, nx)
         self.ends = np.cumsum([a * b for a, b in self.shapes])
         self._m_pad, self._w_pad = np.zeros((nt + 1, nx)), np.zeros((nt, grid.n_faces))
-        # the 1-D matrices, (cells, free edges): each stencil on the identity
-        self._time = SpaceTimeGrid(grid.T, 0.0, grid.T, nt, nt)  # its dx is dt
-        D_t, A_t = (f(np.eye(nt + 1)[1:-1]).T
-                    for f in (self._time.diff_x, self._time.avg_x))
-        D_x, A_x = (f(np.eye(grid.n_faces)[self.free]).T
-                    for f in (grid.diff_x, grid.avg_x))
         # eigh sorts ascending and each G's only null vector is the constant,
         # so the one zero sum is (0, 0): the constant mode, outside range(C),
         # which the pseudo-inverse drops
@@ -105,7 +102,7 @@ class _Operators:
     # 0 (scratch arrays whose edges stay 0); a transpose maps the cell values
     # to the edges between them, on the torus starting before cell 0
     def _padded(self, m, w):
-        self._m_pad[1:-1], self._w_pad[:, self.free] = m, w
+        self._m_pad[1:-1], self._w_pad[:, self.grid.free] = m, w
         return self._m_pad, self._w_pad
 
     def _to_free(self, v):
@@ -115,41 +112,39 @@ class _Operators:
 
     def C(self, m, w):
         m, w = self._padded(m, w)
-        return self._time.diff_x(m.T).T - self.grid.diff_x(w)
+        return self.grid.diff_t(m) - self.grid.diff_x(w)
 
     def CT(self, lam):
-        return -self._time.diff_x(lam.T).T, self._to_free(self.grid.diff_x(lam))
+        return -self.grid.diff_t(lam), self._to_free(self.grid.diff_x(lam))
 
     def A(self, m, w):
         m, w = self._padded(m, w)
-        return self._time.avg_x(m.T).T, self.grid.avg_x(w)
+        return self.grid.avg_t(m), self.grid.avg_x(w)
 
     def AT(self, M, W):
-        return self._time.avg_x(M.T).T, self._to_free(self.grid.avg_x(W))
+        return self.grid.avg_t(M), self._to_free(self.grid.avg_x(W))
 
-    def project(self, m, w, d, out=None):
+    def project(self, m, w, d, out):
         """Nearest (m', w') to (m, w) with C(m', w') = d, for d in the range
-        of C, by the pseudo-inverse of C C^T."""
+        of C, by the pseudo-inverse of C C^T, written into out, two arrays
+        shaped like (m, w)."""
         Q_t, Q_x = self._Q_t, self._Q_x
         r = Q_t.T @ (self.C(m, w) - d) @ Q_x
         pm, pw = self.CT(Q_t @ (r * self._cc_pinv) @ Q_x.T)
-        out = out or (pm, pw)
         np.subtract(m, pm, out=out[0])
         np.subtract(w, pw, out=out[1])
         return out
 
-    def graph_project(self, m, w, M, W, b, out=None):
+    def graph_project(self, m, w, M, W, b, out):
         """Nearest (U*, A U* + b) to (U, V) on the graph of the averaging:
         (I + A^T A) U* = U + A^T (V - b), one LU solve per axis.  The result
-        is written into out, four arrays shaped like (m, w, M, W), when it
-        is given; the inputs are never written."""
+        is written into out, four arrays shaped like (m, w, M, W); the
+        inputs are never written."""
         am, aw = self.AT(M - b, W)
         zm = self._lu_t.solve(m + am)
         zw = self._lu_x.solve((w + aw).T).T
         zM, zW = self.A(zm, zw)
         zM += b
-        if out is None:
-            return zm, zw, zM, zW
         for a, v in zip(out, (zm, zw, zM, zW)):
             a[...] = v
         return out
@@ -245,7 +240,7 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
         # interior densities can undershoot by splitting error; clip the dust
         np.clip(m, 1e-300, None, out=m)
     w = np.zeros((g.n_t, g.n_faces))
-    w[:, ops.free] = y_[1]
+    w[:, g.free] = y_[1]
     state = PrimalState(DensityField(g, m), MomentumField(g, w))
     log.final_value = float(np.sum(integrand(mY, wY, spec)) * g.dt * g.dx)
     log.feasibility = float(np.max(np.abs(continuity_residual(state, spec))))

@@ -1,4 +1,5 @@
-"""The summary of tools/ab_bench.py, on made-up paired runs."""
+"""The summary of tools/ab_bench.py, on made-up paired runs, and its output
+comparison, on temporary directories."""
 import importlib.util
 from pathlib import Path
 
@@ -31,3 +32,19 @@ def test_summary_medians_quartiles_and_wins():
         "rate: 5.000 [5.000, 5.000] -> 5.500 [5.000, 6.000] 1/s, better in 3 of 5;",
         "  median gain 0.500 against a parent quartile spread of 0.000",
     ]
+
+
+def test_same_outputs_compares_names_and_bytes(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+        (d / "log.json").write_bytes(b'{"iters": 744}\n')
+        (d / "fields.csv").write_bytes(b"t,x,m\n0,0,1\n")
+    assert ab_bench.same_outputs(a, b)
+    (b / "fields.csv").write_bytes(b"t,x,m\n0,0,2\n")  # same size, one byte off
+    assert not ab_bench.same_outputs(a, b)
+    (b / "fields.csv").write_bytes(b"t,x,m\n0,0,1\n")
+    (b / "report.json").write_bytes(b"{}")  # a file only one side wrote
+    assert not ab_bench.same_outputs(a, b)
+    assert not ab_bench.same_outputs(b, a)
+    assert not ab_bench.same_outputs(a, tmp_path / "missing")

@@ -520,6 +520,11 @@ def test_sweep_nonzero_coupling_names_key(tmp_path, capsys):
         assert run(str(p), "sweep", out=str(out), dry_run=dry_run) == EXIT_CONFIG
         assert "'problem.coupling.f_family'" in capsys.readouterr().err
         assert not out.exists()
+    # a power coupling with c = 0 is f = 0, so the sweep runs
+    p.write_text(SWEEP_YAML.replace(
+        "{epsilon: 0.4}", "{epsilon: 0.4, f_family: power, f_params: [0.0, 1.0]}"))
+    assert run(str(p), "sweep", out=str(out)) == EXIT_OK
+    assert (out / "eps_error.csv").exists()
 
 
 def _primal_bug(*args, **kwargs):

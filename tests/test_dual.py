@@ -8,8 +8,6 @@ from mfplan import dual
 from mfplan.dual import (
     NEWTON_TOL,
     DualSolveError,
-    assemble_jacobian,
-    assemble_residual,
     m_from_u,
     solve_dual,
 )
@@ -34,6 +32,14 @@ def _uniform_spec(n_t=4, n_x=6, topology="interval-neumann", eps=0.5):
 
 def _field(spec, values):
     return PotentialField(spec.grid, np.asarray(values, dtype=float))
+
+
+def _rows(spec, u, kappa=0.0):
+    """The residual's interior, time-boundary and lateral rows (None on the
+    torus), split from the node-indexed residual on the grid's free nodes."""
+    R, _ = dual._assemble(u, spec, kappa, with_jacobian=False)
+    free = spec.grid.free
+    return R[1:-1, free], R[[0, -1], free], None if spec.grid.periodic else R[:, [0, -1]].T
 
 
 def test_refuses_degenerate_hamiltonian():
@@ -94,27 +100,26 @@ def test_residual_zero_at_exact_gibbs_potential():
     g = spec.grid
     z = float(np.sum(np.exp(-spec.V / eps)) * g.dx)
     u = eps * math.log(z) * g.t_nodes()[:, None] * np.ones(g.n_xnodes)
-    r = assemble_residual(_field(spec, u), spec)
-    assert np.max(np.abs(r.interior)) <= 1e-10
-    assert np.max(np.abs(r.boundary)) <= 1e-10
-    assert np.max(np.abs(r.lateral)) <= 1e-10
+    interior, boundary, lateral = _rows(spec, u)
+    assert np.max(np.abs(interior)) <= 1e-10
+    assert np.max(np.abs(boundary)) <= 1e-10
+    assert np.max(np.abs(lateral)) <= 1e-10
 
 
 def test_residual_constant_potential_rows():
     spec = _uniform_spec(eps=0.5)
     g = spec.grid
-    r = assemble_residual(_field(spec, np.zeros((g.n_t + 1, g.n_xnodes))), spec)
+    interior, boundary, lateral = _rows(spec, np.zeros((g.n_t + 1, g.n_xnodes)))
     # uniform marginals: log m0 = 0 on the nodes, every row vanishes
-    assert np.max(np.abs(r.interior)) == 0.0
-    assert np.max(np.abs(r.boundary)) <= 1e-14
-    assert np.max(np.abs(r.lateral)) == 0.0
+    assert np.max(np.abs(interior)) == 0.0
+    assert np.max(np.abs(boundary)) <= 1e-14
+    assert np.max(np.abs(lateral)) == 0.0
     # with nonuniform data the t=0 row picks up -eps*log(m0) exactly
     spec2 = make_gibbs_spec(8)
-    rr = assemble_residual(
-        _field(spec2, np.zeros((9, spec2.grid.n_xnodes))), spec2)
+    boundary = _rows(spec2, np.zeros((9, spec2.grid.n_xnodes)))[1]
     eps = spec2.coupling.epsilon
     expect = -(eps * np.log(spec2.m0_nodes[1:-1]) + spec2.V_nodes[1:-1])
-    assert np.max(np.abs(rr.boundary[0] - expect)) <= 1e-12
+    assert np.max(np.abs(boundary[0] - expect)) <= 1e-12
 
 
 def test_residual_gauge_invariance(rng):
@@ -123,10 +128,9 @@ def test_residual_gauge_invariance(rng):
         spec = _uniform_spec(5, 6, topology, eps=0.3)
         g = spec.grid
         u = rng.standard_normal((g.n_t + 1, g.n_xnodes)) * 0.1
-        r1 = assemble_residual(_field(spec, u), spec, 0.2)
-        r2 = assemble_residual(_field(spec, u + 7.3), spec, 0.2)
-        assert np.max(np.abs(r1.interior - r2.interior)) <= 1e-12
-        assert np.max(np.abs(r1.boundary - r2.boundary)) <= 1e-12
+        r1, r2 = _rows(spec, u, 0.2), _rows(spec, u + 7.3, 0.2)
+        assert np.max(np.abs(r1[0] - r2[0])) <= 1e-12
+        assert np.max(np.abs(r1[1] - r2[1])) <= 1e-12
 
 
 @pytest.mark.parametrize("topology", ["interval-neumann", "torus"])
@@ -143,7 +147,7 @@ def test_residual_against_independent_loops(topology, rng):
     dt, dx = g.dt, g.dx
     u = rng.standard_normal((nt + 1, nn)) * 0.2
     kappa = 0.3
-    r = assemble_residual(_field(spec, u), spec, kappa)
+    interior, boundary, lateral = _rows(spec, u, kappa)
 
     Vn, dVn = spec.V_nodes, np.zeros(nn)
     if g.periodic:
@@ -173,7 +177,7 @@ def test_residual_against_independent_loops(topology, rng):
             expect = (-(utt - 2 * hp * utx + (hp * hp + c * hpp) * uxx)
                       + dVn[i] * hp + kappa)
             # phi is solved iteratively to ~1e-12 relative, allow that slack
-            assert abs(r.interior[k - 1, col] - expect) <= 1e-10
+            assert abs(interior[k - 1, col] - expect) <= 1e-10
 
     for row, (k, sgn, md) in enumerate(((0, 1.0, spec.m0_nodes),
                                         (nt, -1.0, spec.m1_nodes))):
@@ -188,15 +192,15 @@ def test_residual_against_independent_loops(topology, rng):
             ux = (u[k, ip] - u[k, im]) / (2 * dx)
             data = coupling.f(md[i]) + Vn[i] + eps * math.log(md[i])
             expect = -ut + 0.5 * ux * ux + sgn * kappa - data
-            assert abs(r.boundary[row, col] - expect) <= 1e-12
+            assert abs(boundary[row, col] - expect) <= 1e-12
 
     if not g.periodic:
         for k in range(nt + 1):
             left = (-3 * u[k, 0] + 4 * u[k, 1] - u[k, 2]) / (2 * dx)
             right = (3 * u[k, nn - 1] - 4 * u[k, nn - 2]
                      + u[k, nn - 3]) / (2 * dx)
-            assert abs(r.lateral[0, k] - left) <= 1e-12
-            assert abs(r.lateral[1, k] - right) <= 1e-12
+            assert abs(lateral[0, k] - left) <= 1e-12
+            assert abs(lateral[1, k] - right) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +208,7 @@ def test_residual_against_independent_loops(topology, rng):
 # ---------------------------------------------------------------------------
 
 def _flatten_residual(u, spec):
-    from mfplan.dual import _assemble
-    R, _ = _assemble(u, spec, with_jacobian=False)
+    R, _ = dual._assemble(u, spec, with_jacobian=False)
     return R.ravel()
 
 
@@ -215,15 +218,14 @@ def test_residual_kappa_linearity(topology, rng):
     # t = 0 rows, -1 on the t = T rows and 0 on the lateral rows
     spec = _uniform_spec(4, 5, topology, eps=0.3)
     g = spec.grid
-    u = _field(spec, rng.standard_normal((g.n_t + 1, g.n_xnodes)) * 0.1)
+    u = rng.standard_normal((g.n_t + 1, g.n_xnodes)) * 0.1
     c = 0.7
-    r1 = assemble_residual(u, spec, 0.2)
-    r2 = assemble_residual(u, spec, 0.2 + c)
-    assert np.max(np.abs(r2.interior - r1.interior - c)) <= 1e-13
-    assert np.max(np.abs(r2.boundary[0] - r1.boundary[0] - c)) <= 1e-13
-    assert np.max(np.abs(r2.boundary[1] - r1.boundary[1] + c)) <= 1e-13
-    if r1.lateral is not None:
-        assert np.max(np.abs(r2.lateral - r1.lateral)) == 0.0
+    (i1, b1, l1), (i2, b2, l2) = _rows(spec, u, 0.2), _rows(spec, u, 0.2 + c)
+    assert np.max(np.abs(i2 - i1 - c)) <= 1e-13
+    assert np.max(np.abs(b2[0] - b1[0] - c)) <= 1e-13
+    assert np.max(np.abs(b2[1] - b1[1] + c)) <= 1e-13
+    if l1 is not None:
+        assert np.max(np.abs(l2 - l1)) == 0.0
 
 
 @pytest.mark.parametrize("topology", ["interval-neumann", "torus"])
@@ -257,7 +259,7 @@ def test_jacobian_matches_fd(topology, rng):
     g = spec.grid
     shape = (g.n_t + 1, g.n_xnodes)
     u = rng.standard_normal(shape) * 0.2
-    J = assemble_jacobian(_field(spec, u), spec)
+    _, J = dual._assemble(u, spec, with_jacobian=True)
     for _ in range(5):
         v = rng.standard_normal(shape)
         v /= np.max(np.abs(v))
@@ -278,7 +280,7 @@ def test_jacobian_pattern(topology, scale, rng):
     spec = _uniform_spec(5, 6, topology, eps=0.4)
     g = spec.grid
     u = rng.standard_normal((g.n_t + 1, g.n_xnodes)) * scale
-    J = assemble_jacobian(_field(spec, u), spec).tocsr()
+    J = dual._assemble(u, spec, with_jacobian=True)[1].tocsr()
     J.sum_duplicates()
     expect = np.full((g.n_t + 1, g.n_xnodes), 9)
     expect[[0, -1]] = 5

@@ -290,9 +290,3 @@ def test_eps_sweep_small():
     assert all(report.converged)
     assert report.errors[-1] <= report.errors[0] + report.floor
     assert report.floor == pytest.approx(0.25 * spec.grid.dx)
-
-
-def test_eps_sweep_requires_zero_coupling(solves):
-    spec = solves.spec("congestion", 16)
-    with pytest.raises(ValueError):
-        eps_sweep(spec, [0.1])

@@ -9,7 +9,6 @@ from scipy.optimize import minimize_scalar
 from mfplan import functional, primal
 from mfplan.functional import (
     PrimalState,
-    center_density,
     continuity_residual,
     functional_value,
     integrand,
@@ -92,8 +91,10 @@ def test_gibbs_rest_value_closed_form():
 
 
 def test_centering_shapes():
+    # the functional averages the density to time cells with the grid's avg_t
+    g = SpaceTimeGrid(1.0, 0.0, 1.0, 3, 5)
     m = np.arange(20.0).reshape(4, 5)
-    assert center_density(m).shape == (3, 5)
+    assert g.avg_t(m).shape == (3, 5)
 
 
 def test_continuity_residual_zero_cases():

@@ -6,7 +6,6 @@ from mfplan.grids import (
     MomentumField,
     ProblemSpec,
     SpaceTimeGrid,
-    mass,
     validate_problem,
 )
 from mfplan.hamiltonian import CouplingSpec, HamiltonianSpec
@@ -51,6 +50,10 @@ def test_diff_t_nodes_exact_on_quadratics(n_t):
     t = g.t_nodes()[:, None] * np.ones(5)
     assert g.diff_t_nodes(t * t).shape == (n_t + 1, 5)
     assert np.allclose(g.diff_t_nodes(t * t), 2.0 * t, rtol=0.0, atol=1e-12)
+    # the second difference is 2 inside and zero at t in {0, T}
+    expect = np.full_like(t, 2.0)
+    expect[[0, -1]] = 0.0
+    assert np.allclose(g.diff2_t_nodes(t * t), expect, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_x", [2, 3, 8])
@@ -60,15 +63,21 @@ def test_diff_x_nodes_exact_on_quadratics(n_x):
     x = np.ones((4, 1)) * g.x_nodes()
     assert g.diff_x_nodes(x * x).shape == (4, n_x + 1)
     assert np.allclose(g.diff_x_nodes(x * x), 2.0 * x, rtol=0.0, atol=1e-12)
+    # the second difference is 2 inside and zero at the ends of the interval
+    expect = np.full_like(x, 2.0)
+    expect[:, [0, -1]] = 0.0
+    assert np.allclose(g.diff2_x_nodes(x * x), expect, rtol=0.0, atol=1e-12)
 
 
 def test_diff_x_nodes_wraps_on_torus(rng):
     g = SpaceTimeGrid(1.0, 0.0, 2.0, 3, 6, "torus")
     u = rng.standard_normal((4, 6))
-    expect = np.empty_like(u)
+    expect, expect2 = np.empty_like(u), np.empty_like(u)
     for i in range(6):
         expect[:, i] = (u[:, (i + 1) % 6] - u[:, (i - 1) % 6]) / (2 * g.dx)
+        expect2[:, i] = (u[:, (i + 1) % 6] - 2 * u[:, i] + u[:, (i - 1) % 6]) / g.dx**2
     assert np.allclose(g.diff_x_nodes(u), expect, rtol=0.0, atol=1e-14)
+    assert np.allclose(g.diff2_x_nodes(u), expect2, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_t", [2, 5, 16])
@@ -86,38 +95,9 @@ def test_index_round_trips(n_t, n_x, topology):
     if g.periodic:
         right = np.where(right <= faces, right + g.length, right)
     assert np.allclose(cells, 0.5 * (faces[: len(cells)] + right[: len(cells)]))
-
-
-def test_mass_uniform_is_one():
-    g = SpaceTimeGrid(1.0, 0.0, 1.0, 4, 8)
-    f = DensityField(g, np.ones((5, 8)))
-    assert mass(f, 0) == 1.0
-    assert mass(f, 4) == 1.0
-
-
-def test_mass_zero_field():
-    g = SpaceTimeGrid(1.0, 0.0, 1.0, 4, 8)
-    f = DensityField(g, np.zeros((5, 8)))
-    assert mass(f, 2) == 0.0
-
-
-def test_mass_renormalized_gaussian():
-    g = SpaceTimeGrid(1.0, -3.0, 3.0, 2, 64)
-    x = g.x_cells()
-    raw = np.exp(-0.5 * x**2)
-    raw /= np.sum(raw) * g.dx
-    f = DensityField(g, np.tile(raw, (3, 1)))
-    assert abs(mass(f, 1) - 1.0) <= 1e-12
-
-
-def test_mass_linearity(rng):
-    g = SpaceTimeGrid(1.0, 0.0, 1.0, 3, 8)
-    a, b = rng.standard_normal(2)
-    fa = rng.random((4, 8))
-    fb = rng.random((4, 8))
-    combo = DensityField(g, a * fa + b * fb)
-    expect = a * mass(DensityField(g, fa), 2) + b * mass(DensityField(g, fb), 2)
-    assert abs(mass(combo, 2) - expect) <= 1e-14
+    # the faces off the no-flux boundary: all n_x on the torus, n_x - 1 inside
+    # an interval
+    assert len(faces[g.free]) == (n_x if g.periodic else n_x - 1)
 
 
 def test_momentum_no_flux_enforced():

@@ -16,7 +16,10 @@ time.  For every end-to-end metric of BENCHMARK.json it prints
 
 medians with [first, third] quartiles (statistics.quantiles, inclusive),
 and in how many pairs the change was better in the metric's direction;
-then the failed operations of each side.
+then the failed operations of each side, and in how many pairs the two
+checkouts wrote the same bench/out/W/round-0/outputs, byte for byte:
+
+    outputs byte-identical in 10 of 10 pairs
 """
 from __future__ import annotations
 
@@ -60,6 +63,16 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
     return lines
 
 
+def same_outputs(a: Path, b: Path) -> bool:
+    """True when directories a and b hold the same file names, each with the
+    same bytes."""
+    if not (a.is_dir() and b.is_dir()):
+        return False
+    names = sorted(p.name for p in a.iterdir())
+    return names == sorted(p.name for p in b.iterdir()) and all(
+        (a / name).read_bytes() == (b / name).read_bytes() for name in names)
+
+
 def run_bench(checkout: Path, workload: str, seconds: float) -> dict:
     """Run bench/run.py once in a checkout; return its last JSON line."""
     proc = subprocess.run(
@@ -72,6 +85,8 @@ def run_bench(checkout: Path, workload: str, seconds: float) -> dict:
 def compare(parent_dir: Path, workload: str, pairs: int, seconds: float) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": (parent_dir, []), "change": (ROOT, [])}
+    outputs = Path("bench", "out", workload, "round-0", "outputs")
+    identical = 0
     for i in range(pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             checkout, runs = sides[side]
@@ -79,6 +94,7 @@ def compare(parent_dir: Path, workload: str, pairs: int, seconds: float) -> int:
             values = {k: v["value"] for k, v in runs[-1]["metrics"].items()}
             print(f"pair {i} {side}: " + ", ".join(
                 f"{m['name']} {values[m['name']]:.3f}" for m in metrics), flush=True)
+        identical += same_outputs(parent_dir / outputs, ROOT / outputs)
     parent, change = ([{k: v["value"] for k, v in run["metrics"].items()} for run in runs]
                       for _, runs in sides.values())
     print(f"{workload}, {pairs} pairs, --seconds {seconds:g}")
@@ -87,6 +103,7 @@ def compare(parent_dir: Path, workload: str, pairs: int, seconds: float) -> int:
     for side, (_, runs) in sides.items():
         print(f"{side}: {sum(r['failed'] for r in runs)} failed operations "
               f"of {sum(r['attempted'] for r in runs)}")
+    print(f"outputs byte-identical in {identical} of {pairs} pairs")
     return 0
 
 
