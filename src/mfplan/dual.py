@@ -34,6 +34,11 @@ level is solved to the same max-norm residual NEWTON_TOL in at most
 MAX_NEWTON_ITERS steps (Kelley, Solving Nonlinear Equations with Newton's
 Method, SIAM 2003, ch. 5); all three are constants, not settings.
 
+The solver refuses eps <= 0, a non-smooth H and a torus with fewer than 3
+cells, where the centered D_x vanishes; a level whose start residual is
+not finite (phi overflows) fails before any step.  Each raises
+DualSolveError, which the CLI maps to exit code 2.
+
 The derivatives are the grid's node stencils: the first derivatives
 diff_t_nodes and diff_x_nodes (one-sided second order at t in {0, T} and
 on the lateral Neumann rows), their composition for u_tx, and the centered
@@ -75,13 +80,13 @@ class DualLog:
     stages: list = field(default_factory=list)  # one per mesh level, coarsest first
 
 
-def _require_smooth(spec: ProblemSpec):
+def _require_supported(spec: ProblemSpec):
     if not spec.hamiltonian.smooth:
-        raise DualSolveError(
-            "degenerate H_pp (varpi=0, q!=2): use the primal solver"
-        )
+        raise DualSolveError("degenerate H_pp (varpi=0, q!=2): use the primal solver")
     if spec.coupling.epsilon <= 0.0:
         raise DualSolveError("dual solver requires eps > 0")
+    if spec.grid.periodic and spec.grid.n_x < 3:
+        raise DualSolveError("dual solver requires at least 3 cells on a torus")
 
 
 def _kappa_column(g) -> np.ndarray:
@@ -95,12 +100,8 @@ def _gauge_row(spec: ProblemSpec) -> np.ndarray:
     """Weights l with l . u = sum u(T) m1 dx, u(T) averaged to the cells."""
     g = spec.grid
     ell = np.zeros((g.n_t + 1, g.n_xnodes))
-    half = 0.5 * g.dx * spec.m1
-    if g.periodic:
-        ell[-1] = half + np.roll(half, 1)
-    else:
-        ell[-1, :-1] += half
-        ell[-1, 1:] += half
+    # the cell mean on the identity is the transpose of its matrix
+    ell[-1] = g.avg_x(np.eye(g.n_xnodes)) @ (g.dx * spec.m1)
     return ell
 
 
@@ -113,8 +114,7 @@ def _coefficients(g, interior, hp_boundary) -> np.ndarray:
         ck[1:-1, g.free] = a
     c[0, [0, -1], g.free] = -1.0
     c[1, [0, -1], g.free] = hp_boundary
-    if not g.periodic:
-        c[1][:, [0, -1]] = 1.0
+    c[1][:, g.lateral] = 1.0
     return c
 
 
@@ -157,8 +157,7 @@ def _assemble(u: np.ndarray, spec: ProblemSpec, kappa: float = 0.0,
     hb, hpb, _ = h_eval(H, u_x[ends, inner])
     data = C.f_eps(np.stack([spec.m0_nodes, spec.m1_nodes])[:, inner]) + Vn
     R[ends, inner] = -u_t[ends, inner] + hb - data
-    if not g.periodic:
-        R[:, ends] = u_x[:, ends]  # lateral Neumann rows
+    R[:, g.lateral] = u_x[:, g.lateral]  # lateral Neumann rows
     R += kappa * _kappa_column(g)
     if not with_jacobian:
         return R, None
@@ -180,7 +179,7 @@ def m_from_u(u: PotentialField, spec: ProblemSpec) -> DensityField:
     (one-sided second order at t in {0,T}) averaged to cell centers, u_x the
     exact face difference of u.
     """
-    _require_smooth(spec)
+    _require_supported(spec)
     g = spec.grid
     hval = h_eval(spec.hamiltonian, g.diff_x(u.values))[0]
     m = spec.coupling.phi(-g.avg_x(g.diff_t_nodes(u.values)) + hval - spec.V)
@@ -234,12 +233,17 @@ def _newton_stage(z, spec, chord=False):
     e, ell = _kappa_column(g).ravel(), _gauge_row(spec).ravel()
     z = np.append(z[:-1] - ell @ z[:-1] / ell.sum(), z[-1])
 
+    # phi may overflow: a non-finite residual fails the start, or a trial step
+    @np.errstate(over="ignore", invalid="ignore")
     def residual(z):
         R, _ = _assemble(z[:-1].reshape(g.n_t + 1, -1), spec, z[-1], with_jacobian=False)
         return R.ravel()
 
     R = residual(z)
     rnorm = float(np.max(np.abs(R)))
+    if not np.isfinite(rnorm):
+        raise DualSolveError(
+            f"non-finite start residual ({rnorm}) on the {g.n_t}x{g.n_x} level")
     it = factorizations = 0
     lu = None  # the chord factor; None until a step needs one
     while rnorm > NEWTON_TOL and it < MAX_NEWTON_ITERS:
@@ -252,9 +256,7 @@ def _newton_stage(z, spec, chord=False):
         t = 1.0
         for _ in range(30):
             z_try = z + t * step
-            # a long trial step may overflow phi; non-finite residuals are rejected
-            with np.errstate(over="ignore", invalid="ignore"):
-                R_try = residual(z_try)
+            R_try = residual(z_try)
             r_try = float(np.max(np.abs(R_try)))
             if np.isfinite(r_try) and r_try <= (1.0 - 1e-4 * t) * rnorm:
                 break
@@ -306,10 +308,11 @@ def solve_dual(spec: ProblemSpec):
     """Nested-mesh damped Newton solve of the gauge-pinned potential system.
 
     Returns (u: PotentialField, m: DensityField, DualLog) with u in the gauge
-    sum u(T) m1 dx = 0 and m = m_from_u(u).  Raises DualSolveError for
-    eps <= 0 or naming the mesh level on which Newton failed.
+    sum u(T) m1 dx = 0 and m = m_from_u(u).  Raises DualSolveError for an
+    instance the solver refuses, or naming the mesh level whose start
+    residual is not finite or on which Newton failed.
     """
-    _require_smooth(spec)
+    _require_supported(spec)
     log = DualLog()
     u, kappa = None, 0.0
     for lvl in _levels(spec):

@@ -58,8 +58,7 @@ def _hp_nodes(u_values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """H_p(D_x u) at the space nodes; zero on the lateral boundary (no flux)."""
     g = spec.grid
     hp = h_eval(spec.hamiltonian, g.diff_x_nodes(u_values))[1]
-    if not g.periodic:
-        hp[..., [0, -1]] = 0.0
+    hp[..., g.lateral] = 0.0
     return hp
 
 

@@ -151,16 +151,14 @@ def prox_block(
     top = invert_hp(hamiltonian, wbar, 0.0, sigma)[1]  # H(wbar/sigma) >= H(p)
     tol = 1e-11 * np.maximum(1.0, np.abs(V) + np.abs(mbar) / sigma + top)
     top -= V  # now H(wbar/sigma) - V
-    interior = coupling.epsilon > 0.0 or (
-        coupling.f_family == "log" and coupling.f_params[0] > 0.0)
     # eps = 0 and f(0+) finite: the corner m = 0 is optimal where the
     # gradient is already >= 0 there
-    corner = None if interior else ~(coupling.f(1e-300) - top - mbar / sigma < 0.0)
+    corner = None if coupling.interior else ~(coupling.f(1e-300) - top - mbar / sigma < 0.0)
     # for m >= 1 the entropy and f are >= 0, so the gradient is >= 0 at m_hi
     m_hi = np.maximum(np.multiply(top, sigma, out=top) + mbar, 1.0, out=top)
     vel = None  # H_p(p) at the last evaluation
 
-    if interior:
+    if coupling.interior:
         m = np.empty_like(mbar)  # exp(y) at the last evaluation
 
         def in_log(y):

@@ -18,8 +18,9 @@ The grid owns the layout's stencils, so both solvers share one copy:
   difference quotients diff_t, diff_x and the means avg_t, avg_x;
 * node -> node: the first derivatives diff_t_nodes, diff_x_nodes and the
   second differences diff2_t_nodes, diff2_x_nodes;
-* the no-flux edge set: free, the slice of faces (and space nodes) off the
-  boundary, all of them on the torus and the inner ones on an interval.
+* the no-flux edge sets: free, the slice of faces (and space nodes) off the
+  boundary, all of them on the torus and the inner ones on an interval, and
+  lateral, the boundary ones: [0, -1] on an interval and [] on the torus.
 """
 from __future__ import annotations
 
@@ -99,6 +100,11 @@ class SpaceTimeGrid:
     def free(self) -> slice:
         """The faces (and space nodes) off the no-flux boundary."""
         return slice(None) if self.periodic else slice(1, -1)
+
+    @property
+    def lateral(self) -> list[int]:
+        """The faces (and space nodes) on the no-flux boundary."""
+        return [] if self.periodic else [0, -1]
 
     # the two time-node -> time-cell stencils along the first axis
     def diff_t(self, values: np.ndarray) -> np.ndarray:
@@ -184,9 +190,8 @@ class MomentumField:
         v = _frozen(self.values)
         if v.shape != (self.grid.n_t, self.grid.n_faces):
             raise ValueError(f"momentum shape {v.shape} does not match grid")
-        if not self.grid.periodic:
-            if np.any(v[:, 0] != 0.0) or np.any(v[:, -1] != 0.0):
-                raise ValueError("no-flux boundary faces must carry w = 0")
+        if np.any(v[:, self.grid.lateral] != 0.0):
+            raise ValueError("no-flux boundary faces must carry w = 0")
         object.__setattr__(self, "values", v)
 
 

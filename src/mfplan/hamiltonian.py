@@ -7,12 +7,14 @@ Two Hamiltonian families:
 
 For varpi > 0 the power family is C^2 with H_pp comparable to
 (|p| + varpi)^(q-2); for varpi = 0 and q != 2 it is degenerate or singular
-at p = 0 and only the divergence-form (primal) solver accepts it.
+at p = 0 and only the divergence-form (primal) solver accepts it.  At a
+singular origin (varpi = 0, q < 2) h_eval returns H_pp = +inf.
 
-Couplings are nondecreasing f on (0, inf) from the families zero,
-power f(m) = c*m^a (a > 0) and log f(m) = c*log m, combined with the
-entropy weight eps into f^eps(r) = f(r) + eps*log r, whose inverse phi is
-evaluated in y = log m.
+A coupling is a nondecreasing f on (0, inf) of one form, f(m) = c*m^a
+(a > 0) or f(m) = c*log m (a = None), with c >= 0; the families power
+and log name the two, and zero is c = 0, where f and its derivatives are
+exact zeros.  It is combined with the entropy weight eps into
+f^eps(r) = f(r) + eps*log r, whose inverse phi is evaluated in y = log m.
 
 Every iterative scalar solve of the package (phi for a power coupling, the
 Legendre transform, the momentum dual p of the cell prox and the cell prox
@@ -20,17 +22,13 @@ itself) is one call of safeguarded_newton.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 QUADRATIC = "quadratic"
 POWER = "power"
 MAX_ITER = 100  # evaluations before safeguarded_newton gives up
-
-
-class DegenerateHamiltonianError(ValueError):
-    """Raised where a singular/degenerate H_pp is not supported."""
 
 
 @dataclass(frozen=True)
@@ -58,21 +56,8 @@ class HamiltonianSpec:
 
 
 def h_eval(H: HamiltonianSpec, p):
-    """Return (H, H_p, H_pp) at p; vectorized over arrays.
-
-    Signals DegenerateHamiltonianError when H_pp is unbounded at p = 0
-    (varpi = 0, q < 2 evaluated at the origin).
-    """
+    """(H, H_p, H_pp) at p, vectorized, with H_pp = +inf at a singular origin."""
     p = np.asarray(p, dtype=float)
-    if H.family == POWER and H.varpi == 0.0 and H.q < 2.0 and np.any(p == 0.0):
-        raise DegenerateHamiltonianError(
-            "H_pp singular at p=0 for varpi=0, q<2; use the primal solver"
-        )
-    return _h_eval(H, p)
-
-
-def _h_eval(H: HamiltonianSpec, p: np.ndarray):
-    """(H, H_p, H_pp) at p, with H_pp = +inf at a singular origin."""
     if H.family == QUADRATIC:
         s = H.scale
         return 0.5 * s * p * p, s * p, np.broadcast_to(np.asarray(s), p.shape).copy()
@@ -182,12 +167,12 @@ def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0):
     tol = 1e-13 * np.maximum(a, sigma + m)
 
     def fun(p):
-        _, hp, hpp = _h_eval(H, p)
+        _, hp, hpp = h_eval(H, p)
         with np.errstate(invalid="ignore"):  # 0 * inf at m = 0, p = 0
             return sigma * p + m * hp - rhs, sigma + m * hpp
 
     p = safeguarded_newton(fun, edge, lo, hi, tol)
-    return (p, *_h_eval(H, p))
+    return (p, *h_eval(H, p))
 
 
 def legendre_L(H: HamiltonianSpec, v):
@@ -224,6 +209,9 @@ class CouplingSpec:
     epsilon: float = 1.0
     f_family: str = "zero"
     f_params: tuple[float, ...] = ()
+    # the family read once: f = c*m^a, or c*log m where a is None
+    c: float = field(init=False, repr=False, compare=False)
+    a: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.epsilon < 0.0:
@@ -231,6 +219,7 @@ class CouplingSpec:
         if self.f_family not in _F_FAMILIES:
             raise ValueError(f"unknown coupling family {self.f_family!r}")
         params = tuple(float(x) for x in self.f_params)
+        c, a = 0.0, None
         if self.f_family == "power":
             if len(params) != 2:
                 raise ValueError("power coupling needs f_params = (c, a)")
@@ -240,49 +229,40 @@ class CouplingSpec:
         elif self.f_family == "log":
             if len(params) != 1:
                 raise ValueError("log coupling needs f_params = (c,)")
-            if params[0] < 0.0:
+            (c,) = params
+            if c < 0.0:
                 raise ValueError("log coupling needs c >= 0")
         elif params:
             raise ValueError("zero coupling takes no parameters")
-        object.__setattr__(self, "f_params", params)
+        for name, value in (("f_params", params), ("c", c), ("a", a)):
+            object.__setattr__(self, name, value)
 
-    # -- the coupling f and its derivatives (vectorized, m > 0) --------
+    # -- the coupling f and its derivatives (vectorized; exact zeros if c = 0)
     def f(self, m):
-        m = np.asarray(m, dtype=float)
-        if self.f_family == "zero":
+        m, c, a = np.asarray(m, dtype=float), self.c, self.a
+        if c == 0.0:
             return np.zeros_like(m)
-        if self.f_family == "power":
-            c, a = self.f_params
-            return c * m**a
-        return self.f_params[0] * np.log(m)
+        return c * np.log(m) if a is None else c * m**a
 
     def f_prime(self, m):
-        m = np.asarray(m, dtype=float)
-        if self.f_family == "zero":
+        m, c, a = np.asarray(m, dtype=float), self.c, self.a
+        if c == 0.0:
             return np.zeros_like(m)
-        if self.f_family == "power":
-            c, a = self.f_params
-            return c * a * m ** (a - 1.0)
-        return self.f_params[0] / m
+        return c / m if a is None else c * a * m ** (a - 1.0)
 
     def f_second(self, m):
-        m = np.asarray(m, dtype=float)
-        if self.f_family == "zero":
+        m, c, a = np.asarray(m, dtype=float), self.c, self.a
+        if c == 0.0:
             return np.zeros_like(m)
-        if self.f_family == "power":
-            c, a = self.f_params
-            return c * a * (a - 1.0) * m ** (a - 2.0)
-        return -self.f_params[0] / (m * m)
+        return -c / (m * m) if a is None else c * a * (a - 1.0) * m ** (a - 2.0)
 
     def F(self, m):
         """Antiderivative of f with F(1) = 0; F(0) is the limit value."""
-        m = np.asarray(m, dtype=float)
-        if self.f_family == "zero":
+        m, c, a = np.asarray(m, dtype=float), self.c, self.a
+        if c == 0.0:
             return np.zeros_like(m)
-        if self.f_family == "power":
-            c, a = self.f_params
+        if a is not None:
             return c * (m ** (a + 1.0) - 1.0) / (a + 1.0)
-        c = self.f_params[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             out = c * (m * np.log(m) - m + 1.0)
         return np.where(m == 0.0, c, out)
@@ -292,19 +272,19 @@ class CouplingSpec:
 
     @property
     def f_zero(self) -> bool:
-        """f vanishes identically: the zero family, or a power or log with c = 0."""
-        return self.f_family == "zero" or self.f_params[0] == 0.0
+        """f vanishes identically (c = 0)."""
+        return self.c == 0.0
+
+    @property
+    def interior(self) -> bool:
+        """f^eps(0+) = -inf, so m = 0 never minimizes a cell prox: eps > 0 or
+        a log coupling with c > 0."""
+        return self.epsilon > 0.0 or (self.a is None and self.c > 0.0)
 
     @property
     def c0_r0(self) -> tuple[float, float] | None:
         """(c0, r0) with f'(r) >= c0/r for r >= r0, when the hypothesis holds."""
-        if self.f_family == "power":
-            c, a = self.f_params
-            return (c * a, 1.0) if c > 0 else None
-        if self.f_family == "log":
-            c = self.f_params[0]
-            return (c, 1.0) if c > 0 else None
-        return None
+        return (self.c * (1.0 if self.a is None else self.a), 1.0) if self.c > 0.0 else None
 
     def phi(self, r):
         """Inverse of r = f(m) + eps*log m, computed in y = log m.
@@ -318,17 +298,15 @@ class CouplingSpec:
             raise ValueError("phi requires eps > 0 (f^eps strictly increasing)")
         r = np.asarray(r, dtype=float)
         eps = self.epsilon
-        if self.f_family != "power" or self.f_params[0] == 0.0:
-            c = self.f_params[0] if self.f_family == "log" else 0.0
-            m = np.exp(r / (eps + c))
+        if self.c == 0.0 or self.a is None:
+            m = np.exp(r / (eps + self.c))
         else:
             m = np.exp(self._phi_power_log(r))
         return float(m) if m.ndim == 0 else m
 
     def _phi_power_log(self, r: np.ndarray) -> np.ndarray:
         """log phi(r) for f = c m^a by safeguarded Newton in y = log m."""
-        eps = self.epsilon
-        c, a = self.f_params
+        eps, c, a = self.epsilon, self.c, self.a
         # g(y) = c e^{ay} + eps y - r is increasing; g <= 0 at
         # min(0, (r - c)/eps) and at min(y_f, 0), g >= 0 at r/eps and at
         # max(y_f, 0), where y_f = log(r/c)/a ignores the entropy
@@ -355,7 +333,6 @@ class CouplingSpec:
 __all__ = [
     "HamiltonianSpec",
     "CouplingSpec",
-    "DegenerateHamiltonianError",
     "KernelSolveError",
     "SolveError",
     "h_eval",

@@ -354,6 +354,39 @@ def test_dual_zero_entropy_exit(tmp_path, capsys):
     assert "dual solve failed: dual solver requires eps > 0" in capsys.readouterr().err
 
 
+OVERFLOW_YAML = """\
+grid: {t_horizon: 1.0, x_min: 0.0, x_max: 1.0, n_t: 16, n_x: 16}
+problem:
+  coupling: {epsilon: 0.1}
+  potential: {family: cosine, amplitude: 1000.0, periods: 1}
+  m0: {family: uniform}
+  m1: {family: uniform}
+"""
+
+TWO_CELL_TORUS_YAML = """\
+grid: {t_horizon: 1.0, x_min: 0.0, x_max: 1.0, n_t: 2, n_x: 2, topology: torus}
+problem:
+  coupling: {epsilon: 0.1}
+  potential: {family: cosine, amplitude: 1.0, periods: 1}
+  m0: {family: uniform}
+  m1: {family: bump, center: 0.5, width: 0.12, floor: 0.2}
+"""
+
+
+@pytest.mark.parametrize("text, reason", [
+    (OVERFLOW_YAML, "non-finite start residual"),
+    (TWO_CELL_TORUS_YAML, "dual solver requires at least 3 cells on a torus"),
+], ids=["overflow", "two-cell-torus"])
+def test_dual_refused_instance_exit(tmp_path, capsys, text, reason):
+    # a failed dual solve exits 2 by name and writes no fields.csv
+    p = tmp_path / "refused.yaml"
+    p.write_text(text)
+    out = tmp_path / "o"
+    assert run(str(p), "solve", method="dual", out=str(out)) == EXIT_NOT_CONVERGED
+    assert f"dual solve failed: {reason}" in capsys.readouterr().err
+    assert not (out / "fields.csv").exists()
+
+
 def _assembly_bug(*args, **kwargs):
     raise ValueError("programming error in the assembly")
 

@@ -19,7 +19,7 @@ from mfplan.hamiltonian import (
     h_eval,
 )
 
-from conftest import make_bump_spec, make_congestion_spec, make_gibbs_spec
+from conftest import build_spec, make_bump_spec, make_congestion_spec, make_gibbs_spec
 
 QUAD_H = HamiltonianSpec()
 
@@ -57,6 +57,23 @@ def test_refuses_zero_entropy():
                       CouplingSpec(epsilon=0.0))
     with pytest.raises(DualSolveError, match="eps > 0"):
         solve_dual(bad)
+
+
+@pytest.mark.parametrize("grid, m1, amplitude, match", [
+    # phi = exp(-V/eps) overflows at u = 0, so the start residual is inf/NaN
+    (SpaceTimeGrid(1.0, 0.0, 1.0, 16, 16), {"family": "uniform"}, 1000.0,
+     r"non-finite start residual .* on the 16x16 level"),
+    # on 2 periodic nodes roll(v, -1) == roll(v, 1): D_x is identically 0
+    (SpaceTimeGrid(1.0, 0.0, 1.0, 2, 2, "torus"),
+     {"family": "bump", "center": 0.5, "width": 0.12, "floor": 0.2}, 1.0,
+     "at least 3 cells on a torus"),
+], ids=["overflow", "two-cell-torus"])
+def test_refuses_unsolvable_instance(grid, m1, amplitude, match):
+    spec = build_spec(grid, {"family": "uniform"}, m1,
+                      {"family": "cosine", "amplitude": amplitude, "periods": 1},
+                      QUAD_H, CouplingSpec(epsilon=0.1))
+    with pytest.raises(DualSolveError, match=match):
+        solve_dual(spec)
 
 
 # ---------------------------------------------------------------------------

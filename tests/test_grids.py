@@ -98,6 +98,11 @@ def test_index_round_trips(n_t, n_x, topology):
     # the faces off the no-flux boundary: all n_x on the torus, n_x - 1 inside
     # an interval
     assert len(faces[g.free]) == (n_x if g.periodic else n_x - 1)
+    # the faces on it: none on the torus, the two ends of an interval; the
+    # two sets together cover every face once
+    assert g.lateral == ([] if g.periodic else [0, -1])
+    index = np.arange(g.n_faces)
+    assert sorted(np.r_[index[g.free], index[g.lateral]]) == list(index)
 
 
 def test_momentum_no_flux_enforced():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mfplan.hamiltonian import (
     CouplingSpec,
-    DegenerateHamiltonianError,
     HamiltonianSpec,
     h_eval,
     h_third,
@@ -39,9 +38,9 @@ def test_h_eval_origin_flat_for_superquadratic():
 
 def test_degenerate_signals_at_origin():
     bad = HamiltonianSpec(family="power", q=1.5, varpi=0.0)
-    with pytest.raises(DegenerateHamiltonianError):
-        h_eval(bad, 0.0)
-    h_eval(bad, 1.0)  # away from the origin evaluation is fine
+    # H_pp is +inf at the singular origin, finite away from it
+    assert h_eval(bad, 0.0)[2] == math.inf
+    assert np.isfinite(h_eval(bad, 1.0)[2])
     assert not bad.smooth
     assert not CUBIC.smooth
     assert SOFT.smooth and QUAD.smooth
@@ -249,6 +248,20 @@ def test_antiderivative_anchor():
               CouplingSpec(f_family="log", f_params=(0.7,)),
               CouplingSpec()):
         assert float(c.F(1.0)) == 0.0
+
+
+@pytest.mark.parametrize("family, params", [
+    ("zero", ()), ("power", (0.0, 0.5)), ("power", (0.0, 1.0)), ("log", (0.0,))])
+def test_zero_coupling_is_exact_zero(family, params):
+    # c = 0 is f = 0 in every family, down to m = 0, where m^(a-1) and log m
+    # are not finite
+    c = CouplingSpec(epsilon=0.0, f_family=family, f_params=params)
+    m = np.array([0.0, 1e-320, 1.0])
+    for fn in (c.f, c.f_prime, c.f_second, c.F):
+        out = fn(m)
+        assert out.dtype == float and np.all(out == 0.0), (fn.__name__, out)
+    assert c.f_zero and c.c0_r0 is None and not c.interior
+    assert CouplingSpec(epsilon=0.0, f_family="log", f_params=(0.5,)).interior
 
 
 def test_antiderivative_matches_f():
