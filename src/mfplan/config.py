@@ -55,8 +55,6 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in ("primal", "dual", "both"):
             raise ConfigError("method", "must be primal, dual, or both")
-        if any(eps < 0 for eps in self.sweep_eps):
-            raise ConfigError("sweep.eps_list", "every eps must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +118,19 @@ def _list(value, key: str, item) -> tuple:
 
 def _floats(value, key: str) -> tuple[float, ...]:
     return _list(value, key, _finite)
+
+
+def _eps_list(value, key: str) -> tuple[float, ...]:
+    """The sweep's eps: at least one, each >= 0, strictly decreasing."""
+    eps = _floats(value, key)
+    if not eps:
+        raise ConfigError(key, "expected at least one eps")
+    if min(eps) < 0:
+        raise ConfigError(key, "every eps must be >= 0")
+    for i in range(1, len(eps)):
+        if eps[i] >= eps[i - 1]:
+            raise ConfigError(f"{key}[{i}]", "eps must be strictly decreasing")
+    return eps
 
 
 def _mappings(value, key: str) -> tuple[dict, ...]:
@@ -319,7 +330,7 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
         "potential": (_mapping, {}), "m0": (_mapping, REQUIRED),
         "m1": (_mapping, REQUIRED),
     })
-    sweep = _read(top.pop("sweep"), "sweep", {"eps_list": (_floats, None)})
+    sweep = _read(top.pop("sweep"), "sweep", {"eps_list": (_eps_list, None)})
 
     eps = prob["coupling"].epsilon
     V = potential_on_grid(prob["potential"], grid, "problem.potential", base_dir)

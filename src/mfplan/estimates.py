@@ -66,42 +66,11 @@ def _hp_nodes(u_values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
 # displacement convexity (d = 1)
 # ---------------------------------------------------------------------------
 
-def _u_family(family: str, param: float):
-    if family == "power":
-        p = param
-        if p < 2:
-            raise ValueError("power family needs p >= 2")
-        U = lambda r: r**p
-        P = lambda r: (p - 1.0) * r**p  # U'(r) r - U(r)
-        Pp = lambda r: p * (p - 1.0) * r ** (p - 1.0)
-        return U, P, Pp
-    if family == "linear":
-        # U(r) = r: the internal energy is the total mass, both sides of the
-        # inequality vanish identically (P = U'r - U = 0)
-        U = lambda r: r
-        P = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-        Pp = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-        return U, P, Pp
-    if family == "quadratic-above-level":
-        k = param
-        U = lambda r: np.maximum(r - k, 0.0) ** 2
-        P = lambda r: np.maximum(r - k, 0.0) * (r + k)
-        Pp = lambda r: np.where(r > k, 2.0 * r, 0.0)
-        return U, P, Pp
-    raise ValueError(f"unknown U-family {family!r}")
+def check_displacement_convexity(u: PotentialField, m: DensityField,
+                                 spec: ProblemSpec) -> CheckResult:
+    """Second difference of int U(m), U(m) = m^2, vs the convexity rhs.
 
-
-def check_displacement_convexity(
-    u: PotentialField,
-    m: DensityField,
-    spec: ProblemSpec,
-    u_family: str = "power",
-    u_param: float = 2.0,
-    tol_disc: float | None = None,
-) -> CheckResult:
-    """Second difference of int U(m) vs the convexity right-hand side.
-
-    At every interior time node, d^2/dt^2 int U(m) must dominate
+    With P = U'm - U = m^2, at each interior node d^2/dt^2 int U(m) must dominate
 
         int (P'(m)m - P(m) + P(m)/d) [div H_p(Du)]^2
       + int P'(m) (f^eps)'(m) H_pp Dm.Dm  +  int P'(m) H_pp Dm.DV
@@ -115,9 +84,8 @@ def check_displacement_convexity(
             reason="non-quadratic-growth Hamiltonian",
         )
     g = spec.grid
-    U, P, Pp = _u_family(u_family, u_param)
     mv = m.values
-    energy = np.sum(U(mv), axis=1) * g.dx
+    energy = np.sum(mv**2, axis=1) * g.dx
     lhs = (energy[2:] - 2 * energy[1:-1] + energy[:-2]) / g.dt**2
 
     div_v = g.diff_x(_hp_nodes(u.values, spec))[1:-1]  # div H_p(Du) at the cells
@@ -126,20 +94,20 @@ def check_displacement_convexity(
     mi = mv[1:-1]
     hpp = h_eval(spec.hamiltonian, g.diff_x(u.values)[1:-1])[2]
     feps_prime = spec.coupling.f_prime(mi) + spec.coupling.epsilon / mi
-    term1 = (Pp(mi) * mi - P(mi) + P(mi)) * div_v**2  # P/d with d = 1
-    term2 = Pp(mi) * feps_prime * hpp * dm * dm
-    term3 = Pp(mi) * hpp * dm * dV
+    Pp = 2.0 * mi
+    term1 = Pp * mi * div_v**2  # P'm - P + P/d = P'm with d = 1
+    term2 = Pp * feps_prime * hpp * dm * dm
+    term3 = Pp * hpp * dm * dV
     rhs = np.sum(term1 + term2 + term3, axis=1) * g.dx
 
     violation = float(np.max(np.maximum(rhs - lhs, 0.0)))
-    if tol_disc is None:
-        tol_disc = 10.0 * (g.dt + g.dx) * max(1.0, float(np.max(np.abs(rhs))))
+    tol = 10.0 * (g.dt + g.dx) * max(1.0, float(np.max(np.abs(rhs))))
     return CheckResult(
         name="displacement_convexity",
         lhs=float(np.min(lhs - rhs)),
         rhs=0.0,
-        tolerance=tol_disc,
-        passed=violation <= tol_disc,
+        tolerance=tol,
+        passed=violation <= tol,
         formula="(E[k+1]-2E[k]+E[k-1])/dt^2 >= sum((P'm-P+P) divHp^2 "
                 "+ P' feps' Hpp Dm^2 + P' Hpp Dm DV) dx",
         details={"max_violation": violation,
@@ -425,8 +393,11 @@ def eps_sweep(spec: ProblemSpec, eps_list, cfg=None) -> SweepReport:
     """Solve the primal problem per eps (f = 0) and compare to the oracle.
 
     e(eps) = max_t L1 distance between the solve and the displacement
-    interpolation; passes iff e is nonincreasing down to the floor 0.25*dx.
+    interpolation along the strictly decreasing eps_list; passes iff e is
+    nonincreasing down to the floor 0.25*dx.
     """
+    if not len(eps_list) or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError(f"eps_list must be non-empty and strictly decreasing: {eps_list}")
     g = spec.grid
     oracle = geodesic_oracle_1d(spec.m0, spec.m1, g)
     errors, converged = [], []
@@ -475,7 +446,7 @@ def check_duality_gap(u: PotentialField, m: DensityField, spec: ProblemSpec,
     The number is a discretization difference between the primal solve and
     the dual one rebuilt on the staggered grid, not a duality gap: it does
     not shrink to the solver tolerance, and congestion at 64x64 converges
-    in both solvers yet exceeds the gate (CHANGES.md FOUND; ROADMAP item 6
+    in both solvers yet exceeds the gate (CHANGES.md FOUND; ROADMAP item 7
     replaces it with a discrete duality certificate).
     """
     gap = duality_gap(primal_state, u, m, spec)

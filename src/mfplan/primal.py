@@ -167,7 +167,7 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     """Minimize the discrete functional under the continuity constraint.
 
     Returns (PrimalState, PrimalLog).  Handles eps >= 0 and any radial
-    Hamiltonian family.
+    Hamiltonian family.  The node densities are the DR iterate, unclipped.
     """
     cfg = cfg or PrimalConfig()
     g = spec.grid
@@ -236,9 +236,6 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     log.sigma = sigma
 
     m = np.concatenate([spec.m0[None], y_[0], spec.m1[None]])
-    if spec.coupling.epsilon > 0:
-        # interior densities can undershoot by splitting error; clip the dust
-        np.clip(m, 1e-300, None, out=m)
     w = np.zeros((g.n_t, g.n_faces))
     w[:, g.free] = y_[1]
     state = PrimalState(DensityField(g, m), MomentumField(g, w))

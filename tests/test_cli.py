@@ -211,6 +211,8 @@ def test_malformed_value_named(tmp_path, capsys, key, value, named):
     ("primal.tol_kkt", 0.0, "'primal': tol_kkt must be positive"),
     ("problem.coupling.epsilon", -0.5, "'problem.coupling': epsilon must be >= 0"),
     ("sweep.eps_list", [0.1, -0.1], "'sweep.eps_list': every eps must be >= 0"),
+    ("sweep.eps_list", [0.0, 0.4], "'sweep.eps_list[1]': eps must be strictly decreasing"),
+    ("sweep.eps_list", [], "'sweep.eps_list': expected at least one eps"),
     ("problem.hamiltonian.q", 3.0, "'problem.hamiltonian': the quadratic family"),
     ("problem.hamiltonian.varpi", 0.7, "'problem.hamiltonian': the quadratic family"),
 ])
@@ -576,12 +578,19 @@ def test_sweep_programming_error_not_reported_as_config_error(
 
 
 def test_sweep_requires_eps_list(gibbs_cfg, tmp_path, capsys):
+    # the sweep passes when e(eps) does not grow along the list, which says
+    # something about eps -> 0 only if eps falls along it
     out = tmp_path / "o"
-    for dry_run in (False, True):
-        assert run(str(gibbs_cfg), "sweep", out=str(out), dry_run=dry_run) == EXIT_CONFIG
-        assert ("config key 'sweep.eps_list': missing required key"
-                in capsys.readouterr().err)
-        assert not out.exists()
+    for eps_list, message in (
+            (None, "'sweep.eps_list': missing required key"),
+            ([], "'sweep.eps_list': expected at least one eps"),
+            ([0.0, 0.4], "'sweep.eps_list[1]': eps must be strictly decreasing")):
+        config = gibbs_cfg if eps_list is None else _edited(
+            tmp_path, SWEEP_YAML, "sweep.eps_list", eps_list)
+        for dry_run in (False, True):
+            assert run(str(config), "sweep", out=str(out), dry_run=dry_run) == EXIT_CONFIG
+            assert f"config key {message}" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_main_entry_point(gibbs_cfg, tmp_path):

@@ -277,6 +277,15 @@ def test_solve_positivity(solves):
     assert np.min(state.m.values) > 0.0
 
 
+def test_undershooting_density_stays_feasible():
+    # on this torus the staggered node density undershoots 0 (the cell
+    # values M do not); the returned iterate must still satisfy continuity
+    state, log = solve_primal(make_bump_spec(6, eps=1e-3))
+    assert log.converged
+    assert np.min(state.m.values) < 0.0  # the case a clip to 1e-300 would break
+    assert log.feasibility <= 1e-10
+
+
 def test_value_beats_straight_line_transport(solves):
     # the minimizer's value never exceeds that of the linear-interpolation
     # competitor (projected to feasibility)
