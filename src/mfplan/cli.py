@@ -83,8 +83,8 @@ def _describe(cfg: RunConfig) -> str:
     lines = [
         f"grid: {g.n_t}x{g.n_x} on [0,{_fmt(g.T)}]x[{_fmt(g.x_min)},{_fmt(g.x_max)}]"
         f" ({g.topology})",
-        f"hamiltonian: {H.family} q={_fmt(H.q)} varpi={_fmt(H.varpi)}"
-        f" scale={_fmt(H.scale)}",
+        f"hamiltonian: H = scale/2 (p^2 + varpi^2)^(q/2), q={_fmt(H.q)}"
+        f" varpi={_fmt(H.varpi)} scale={_fmt(H.scale)}",
         f"coupling: eps={_fmt(C.epsilon)} f={C.f_family} params={list(C.f_params)}",
         f"method: {cfg.method}",
         f"checks: {list(cfg.checks)}",

@@ -4,10 +4,10 @@ Parsing is total: every failure raises ConfigError naming the offending
 key, and unknown keys are rejected by name.  One reader, ``_read``, reads
 every block through a schema {name: (convert, default)}.  The settings
 blocks pass only the keys present to their dataclass, which keeps the
-defaults and range checks; a range error names the block.  The potential
-and marginal families are tables of the same kind, so their errors name
-the exact parameter.  The resolved RunConfig holds a fully validated
-ProblemSpec plus solver/check settings.
+defaults and range checks; a range error names the block.  The Hamiltonian,
+potential and marginal families are tables of the same kind, so their
+errors name the exact parameter.  The resolved RunConfig holds a fully
+validated ProblemSpec plus solver/check settings.
 
 Marginals and potentials are sampled both at cell centers and at cell
 edges (nodes).  The two samplings share a single normalization constant,
@@ -166,10 +166,6 @@ _GRID = _settings(SpaceTimeGrid, {
     "x_max": (_finite, REQUIRED), "n_t": (_integer, REQUIRED),
     "n_x": (_integer, REQUIRED), "topology": (_string, None),
 }, t_horizon="T")
-_HAMILTONIAN = _settings(HamiltonianSpec, {
-    "family": (_string, None), "q": (_finite, None),
-    "varpi": (_finite, None), "scale": (_finite, None),
-})
 _COUPLING = _settings(CouplingSpec, {
     "epsilon": (_finite, None), "f_family": (_string, None),
     "f_params": (_floats, None),
@@ -190,6 +186,21 @@ def _family(block, key: str, tables: dict, default=REQUIRED) -> tuple[str, dict]
     if _string(name, f"{key}.family") not in tables:
         raise ConfigError(f"{key}.family", f"unknown family {name!r}")
     return name, _read(block, key, {"family": (_string, None), **tables[name]})
+
+
+def _hamiltonian(block, key: str) -> HamiltonianSpec:
+    """H of {family: quadratic, scale}, scale/2 p^2, or of {family: power,
+    q, varpi, scale}, scale (p^2 + varpi^2)^(q/2)."""
+    family, p = _family(block, key, {
+        "quadratic": {"scale": (_finite, 1.0)},
+        "power": {"q": (_finite, 2.0), "varpi": (_finite, 0.0), "scale": (_finite, 1.0)},
+    }, default="quadratic")
+    try:
+        if family == "quadratic":
+            return HamiltonianSpec(scale=p["scale"])
+        return HamiltonianSpec(p["q"], p["varpi"], 2.0 * p["scale"])
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
 
 
 def _csv_table(base_dir: Path) -> dict:
@@ -326,7 +337,7 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     })
     grid = top.pop("grid")
     prob = _read(top.pop("problem"), "problem", {
-        "hamiltonian": (_HAMILTONIAN, {}), "coupling": (_COUPLING, {}),
+        "hamiltonian": (_hamiltonian, {}), "coupling": (_COUPLING, {}),
         "potential": (_mapping, {}), "m0": (_mapping, REQUIRED),
         "m1": (_mapping, REQUIRED),
     })

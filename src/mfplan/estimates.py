@@ -276,11 +276,6 @@ def _cdf_edges(density: np.ndarray, dx: float) -> np.ndarray:
     return F
 
 
-def _quantile(levels: np.ndarray, F: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    # F is nondecreasing with F[0]=0, F[-1]=1 for positive densities
-    return np.interp(levels, F, edges)
-
-
 def _level_grid(n_x: int, *cdfs: np.ndarray) -> np.ndarray:
     """Dense quantile levels enriched with the CDF breakpoints.
 
@@ -328,7 +323,7 @@ def _oracle(m0, m1, grid: SpaceTimeGrid) -> np.ndarray:
     s = (np.arange(n_s) + 0.5) / n_s
 
     def cost(theta):
-        d = _quantile(s, F0, edges) - _extended_quantile(s + theta, F1, edges, L)
+        d = np.interp(s, F0, edges) - _extended_quantile(s + theta, F1, edges, L)
         return float(np.mean(d * d))
 
     # circular transport: optimal rotation of the quantile pairing; on an
@@ -336,7 +331,7 @@ def _oracle(m0, m1, grid: SpaceTimeGrid) -> np.ndarray:
     theta = _golden_section(cost, -1.0, 1.0, 1e-13) if grid.periodic else 0.0
 
     s_dense = _level_grid(grid.n_x, F0, F1 - theta)
-    Q0 = _quantile(s_dense, F0, edges)
+    Q0 = np.interp(s_dense, F0, edges)
     Q1s = _extended_quantile(s_dense + theta, F1, edges, L)
     out = np.empty((grid.n_t + 1, grid.n_x))
     for k, t in enumerate(grid.t_nodes()):
@@ -390,7 +385,7 @@ class SweepReport:
 
 
 def eps_sweep(spec: ProblemSpec, eps_list, cfg=None) -> SweepReport:
-    """Solve the primal problem per eps (f = 0) and compare to the oracle.
+    """Solve the primal problem per eps (f = 0 only) and compare to the oracle.
 
     e(eps) = max_t L1 distance between the solve and the displacement
     interpolation along the strictly decreasing eps_list; passes iff e is
@@ -398,6 +393,8 @@ def eps_sweep(spec: ProblemSpec, eps_list, cfg=None) -> SweepReport:
     """
     if not len(eps_list) or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"eps_list must be non-empty and strictly decreasing: {eps_list}")
+    if not spec.coupling.f_zero:
+        raise ValueError("eps_sweep compares with the f = 0 oracle: needs f = 0")
     g = spec.grid
     oracle = geodesic_oracle_1d(spec.m0, spec.m1, g)
     errors, converged = [], []

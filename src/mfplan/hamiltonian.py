@@ -1,11 +1,8 @@
 """Radial Hamiltonians with q-growth and couplings f^eps = f + eps*log.
 
-Two Hamiltonian families:
-
-* ``quadratic``:  H(p) = scale * p^2 / 2 (q = 2 and varpi = 0 only)
-* ``power``:      H(p) = scale * (p^2 + varpi^2)^(q/2)
-
-For varpi > 0 the power family is C^2 with H_pp comparable to
+One Hamiltonian form, H(p) = scale/2 * (p^2 + varpi^2)^(q/2); q = 2 gives
+the quadratic H = scale * (p^2 + varpi^2) / 2, which every function here
+evaluates in closed form.  For varpi > 0, H is C^2 with H_pp comparable to
 (|p| + varpi)^(q-2); for varpi = 0 and q != 2 it is degenerate or singular
 at p = 0 and only the divergence-form (primal) solver accepts it.  At a
 singular origin (varpi = 0, q < 2) h_eval returns H_pp = +inf.
@@ -26,28 +23,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-QUADRATIC = "quadratic"
-POWER = "power"
 MAX_ITER = 100  # evaluations before safeguarded_newton gives up
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    family: str = QUADRATIC
+    """H(p) = scale/2 * (p^2 + varpi^2)^(q/2)."""
+
     q: float = 2.0
     varpi: float = 0.0
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.family not in (QUADRATIC, POWER):
-            raise ValueError(f"unknown hamiltonian family {self.family!r}")
         if self.q <= 1.0:
             raise ValueError("growth exponent q must exceed 1")
         if self.varpi < 0.0 or self.scale <= 0.0:
             raise ValueError("need varpi >= 0 and scale > 0")
-        if self.family == QUADRATIC and (self.q != 2.0 or self.varpi != 0.0):
-            raise ValueError("the quadratic family takes only scale "
-                             "(q = 2, varpi = 0)")
 
     @property
     def smooth(self) -> bool:
@@ -58,28 +49,28 @@ class HamiltonianSpec:
 def h_eval(H: HamiltonianSpec, p):
     """(H, H_p, H_pp) at p, vectorized, with H_pp = +inf at a singular origin."""
     p = np.asarray(p, dtype=float)
-    if H.family == QUADRATIC:
+    if H.q == 2.0:
         s = H.scale
-        return 0.5 * s * p * p, s * p, np.broadcast_to(np.asarray(s), p.shape).copy()
-    s, q, w2 = H.scale, H.q, H.varpi**2
+        return 0.5 * s * p * p + 0.5 * s * H.varpi**2, s * p, np.full(p.shape, s)
+    s, q, w2 = 0.5 * H.scale, H.q, H.varpi**2
     r2 = p * p + w2
     with np.errstate(divide="ignore", invalid="ignore"):
         val = s * r2 ** (q / 2)
         hp = s * q * p * r2 ** (q / 2 - 1)
         hpp = s * q * r2 ** (q / 2 - 2) * ((q - 1) * p * p + w2)
-    if w2 == 0.0:  # s|p|^q: H and H_p vanish at 0, H_pp is 0, 2s or +inf
+    if w2 == 0.0:  # s|p|^q: H and H_p vanish at 0, H_pp is 0 or +inf
         origin = p == 0.0
         hp = np.where(origin, 0.0, hp)
-        hpp = np.where(origin, 2.0 * s if q == 2.0 else (0.0 if q > 2.0 else np.inf), hpp)
+        hpp = np.where(origin, 0.0 if q > 2.0 else np.inf, hpp)
     return val, hp, hpp
 
 
 def h_third(H: HamiltonianSpec, p):
     """Third derivative H_ppp (needed by the exact dual Jacobian)."""
     p = np.asarray(p, dtype=float)
-    if H.family == QUADRATIC:
+    if H.q == 2.0:
         return np.zeros_like(p)
-    s, q, w2 = H.scale, H.q, H.varpi**2
+    s, q, w2 = 0.5 * H.scale, H.q, H.varpi**2
     r2 = p * p + w2
     safe = np.where(r2 == 0.0, 1.0, r2)
     out = s * q * p * safe ** (q / 2 - 3) * (
@@ -147,19 +138,20 @@ def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0):
     Vectorized over rhs and m (m >= 0, sigma >= 0, sigma + m > 0).  For
     radial H the left side is increasing and odd in p, so the root lies
     between 0 and rhs/sigma, and between 0 and varpi + (2|rhs|/(m s q))^{1/(q-1)}
-    because H_p(p) >= s q 2^{min(q-2,0)} |p|^{q-1} for |p| >= varpi.
-    Closed form for quadratic H, whose H_pp is returned as the scalar
-    H.scale (it does not depend on p); safeguarded Newton from that edge
-    otherwise.
+    with s = scale/2, because H_p(p) >= s q 2^{min(q-2,0)} |p|^{q-1} for
+    |p| >= varpi.  Closed form for q = 2, whose H_pp is returned as the
+    scalar H.scale (it does not depend on p); safeguarded Newton from that
+    edge otherwise.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if H.family == QUADRATIC:
-        p = rhs / (sigma + H.scale * np.asarray(m, dtype=float))
-        return p, 0.5 * H.scale * p * p, H.scale * p, H.scale
+    if H.q == 2.0:
+        s = H.scale
+        p = rhs / (sigma + s * np.asarray(m, dtype=float))
+        return p, 0.5 * s * p * p + 0.5 * s * H.varpi**2, s * p, s
     m = np.broadcast_to(np.asarray(m, dtype=float), rhs.shape)
     a = np.abs(rhs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        reach = H.varpi + (2.0 * a / (m * H.scale * H.q)) ** (1.0 / (H.q - 1.0))
+        reach = H.varpi + (4.0 * a / (m * H.scale * H.q)) ** (1.0 / (H.q - 1.0))
         if sigma > 0.0:
             reach = np.minimum(reach, a / sigma)
     edge = np.copysign(np.where(a == 0.0, 0.0, reach), rhs)
@@ -178,7 +170,7 @@ def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0):
 def legendre_L(H: HamiltonianSpec, v):
     """Fenchel conjugate L(v) = sup_p (p v - H(p)) = p v - H(p) at H_p(p) = v.
 
-    The p comes from invert_hp (closed form for quadratic H).  Vectorized;
+    The p comes from invert_hp (closed form for q = 2).  Vectorized;
     returns a float for scalar v.
     """
     v = np.asarray(v, dtype=float)
@@ -191,8 +183,8 @@ def kinetic_density(H: HamiltonianSpec, m: np.ndarray, w: np.ndarray) -> np.ndar
     """Perspective kinetic term m*L(w/m); 0 where m=0,w=0; +inf where m=0,w!=0."""
     m, w = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(w, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
-        if H.family == QUADRATIC:  # without w/m, which overflows at tiny m
-            out = w * w / (2.0 * H.scale * m)
+        if H.q == 2.0:  # without w/m, which overflows at tiny m
+            out = w * w / (2.0 * H.scale * m) - 0.5 * H.scale * H.varpi**2 * m
         else:
             out = m * legendre_L(H, np.where(m == 0.0, 0.0, w / m))
     out = np.where((m == 0.0) & (w == 0.0), 0.0, out)

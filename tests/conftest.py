@@ -81,7 +81,7 @@ def make_power_spec(n: int) -> ProblemSpec:
         {"family": "bump", "center": 0.25, "width": 0.12, "floor": 0.2},
         {"family": "bump", "center": 0.5, "width": 0.12, "floor": 0.2},
         {"family": "zero"},
-        HamiltonianSpec(family="power", q=2.5, varpi=0.5),
+        HamiltonianSpec(q=2.5, varpi=0.5, scale=2.0),
         CouplingSpec(epsilon=0.3, f_family="power", f_params=(0.5, 2.0)),
     )
 

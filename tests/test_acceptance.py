@@ -207,9 +207,9 @@ def _jacobian_configs():
            CouplingSpec(epsilon=0.3, f_family="power", f_params=(1.0, 1.0)))
     yield ("interval-neumann", HamiltonianSpec(scale=2.0),
            CouplingSpec(epsilon=0.4, f_family="log", f_params=(0.3,)))
-    yield ("torus", HamiltonianSpec(family="power", q=2.5, varpi=0.5),
+    yield ("torus", HamiltonianSpec(q=2.5, varpi=0.5, scale=2.0),
            CouplingSpec(epsilon=0.5, f_family="power", f_params=(0.5, 2.0)))
-    yield ("interval-neumann", HamiltonianSpec(family="power", q=2.0, varpi=1.0),
+    yield ("interval-neumann", HamiltonianSpec(q=2.0, varpi=1.0, scale=2.0),
            CouplingSpec(epsilon=0.6))
 
 

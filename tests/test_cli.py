@@ -199,6 +199,10 @@ INF, NAN = float("inf"), float("nan")
     ("problem.m1", {"family": "bump", "width": NAN}, "problem.m1.width"),
     ("problem.m1", {"family": "gaussian", "mean": INF}, "problem.m1.mean"),
     ("checks", ["lp_bounds", "energy_identity", "lp_bounds"], "checks[2]"),
+    # the quadratic table has no q or varpi
+    ("problem.hamiltonian.q", 3.0, "problem.hamiltonian.q"),
+    ("problem.hamiltonian.varpi", 0.7, "problem.hamiltonian.varpi"),
+    ("problem.hamiltonian.family", "cubic", "problem.hamiltonian.family"),
 ])
 def test_malformed_value_named(tmp_path, capsys, key, value, named):
     p = _edited(tmp_path, GIBBS_CONFIG.read_text(), key, value)
@@ -213,8 +217,6 @@ def test_malformed_value_named(tmp_path, capsys, key, value, named):
     ("sweep.eps_list", [0.1, -0.1], "'sweep.eps_list': every eps must be >= 0"),
     ("sweep.eps_list", [0.0, 0.4], "'sweep.eps_list[1]': eps must be strictly decreasing"),
     ("sweep.eps_list", [], "'sweep.eps_list': expected at least one eps"),
-    ("problem.hamiltonian.q", 3.0, "'problem.hamiltonian': the quadratic family"),
-    ("problem.hamiltonian.varpi", 0.7, "'problem.hamiltonian': the quadratic family"),
 ])
 def test_range_error_names_block(tmp_path, capsys, key, value, message):
     p = _edited(tmp_path, GIBBS_YAML, key, value)
@@ -609,6 +611,18 @@ def test_parse_config_strictness():
     with pytest.raises(ConfigError) as exc:
         parse_config({"problem": {}})
     assert "grid" in str(exc.value)
+
+
+def test_power_spelling_of_quadratic_is_one_spec():
+    # scale * (p^2 + 0)^(2/2) at scale 1/2 is the quadratic p^2/2
+    raw = {"grid": {"t_horizon": 1.0, "x_min": 0.0, "x_max": 1.0,
+                    "n_t": 4, "n_x": 4},
+           "problem": {"m0": {"family": "uniform"}, "m1": {"family": "uniform"}}}
+    specs = [parse_config({**raw, "problem": {**raw["problem"], "hamiltonian": h}}
+                          ).spec.hamiltonian
+             for h in ({"family": "quadratic"},
+                       {"family": "power", "q": 2, "varpi": 0, "scale": 0.5})]
+    assert specs[0] == specs[1]
 
 
 @pytest.mark.parametrize("extra", [

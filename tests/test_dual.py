@@ -45,7 +45,7 @@ def _rows(spec, u, kappa=0.0):
 def test_refuses_degenerate_hamiltonian():
     spec = _uniform_spec()
     bad = ProblemSpec(spec.grid, spec.m0, spec.m1, spec.V,
-                      HamiltonianSpec(family="power", q=3.0, varpi=0.0),
+                      HamiltonianSpec(q=3.0, varpi=0.0, scale=2.0),
                       spec.coupling)
     with pytest.raises(DualSolveError, match=r"degenerate H_pp \(varpi=0, q!=2\)"):
         solve_dual(bad)

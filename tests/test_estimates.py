@@ -23,7 +23,7 @@ from mfplan.grids import (
 from mfplan.hamiltonian import CouplingSpec, HamiltonianSpec
 from mfplan.primal import PrimalConfig, solve_primal
 
-from conftest import make_bump_spec
+from conftest import make_bump_spec, make_power_spec
 
 QUAD_H = HamiltonianSpec()
 
@@ -150,7 +150,7 @@ def test_displacement_convexity_skips_nonquadratic():
     g = SpaceTimeGrid(1.0, 0.0, 1.0, 4, 8)
     u = np.ones(8)
     spec = ProblemSpec(g, u, u, np.zeros(8),
-                       HamiltonianSpec(family="power", q=3.0, varpi=0.5),
+                       HamiltonianSpec(q=3.0, varpi=0.5, scale=2.0),
                        CouplingSpec(epsilon=0.5))
     m = DensityField(g, np.ones((5, 8)))
     pot = PotentialField(g, np.zeros((5, 9)))
@@ -273,3 +273,10 @@ def test_eps_sweep_refuses_unordered_list(eps_list):
     # the verdict, e nonincreasing along the list, assumes eps falls along it
     with pytest.raises(ValueError, match="strictly decreasing"):
         eps_sweep(make_bump_spec(8, eps=0.4), eps_list)
+
+
+def test_eps_sweep_refuses_a_coupling():
+    # the oracle is the f = 0 interpolation: a congested solve would be
+    # judged against the wrong curve
+    with pytest.raises(ValueError, match="f = 0"):
+        eps_sweep(make_power_spec(8), [0.4, 0.1])

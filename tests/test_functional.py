@@ -155,15 +155,15 @@ def test_integrand_perspective_convention():
 
 C_ENT = CouplingSpec(epsilon=0.1)
 
-# one quadratic H and the power family s(p^2 + varpi^2)^{q/2} across its
+# one quadratic H and the form scale/2 (p^2 + varpi^2)^{q/2} across its
 # regimes: smooth, soft (q < 2), flat at the origin (q > 2, varpi = 0) and
 # singular at the origin (q < 2, varpi = 0); the prox tests run every one
 EVERY_H = [
     QUAD_H,
-    HamiltonianSpec(family="power", q=2.5, varpi=0.5),
-    HamiltonianSpec(family="power", q=1.5, varpi=0.1),
-    HamiltonianSpec(family="power", q=3.0, varpi=0.0),
-    HamiltonianSpec(family="power", q=1.5, varpi=0.0),
+    HamiltonianSpec(q=2.5, varpi=0.5, scale=2.0),
+    HamiltonianSpec(q=1.5, varpi=0.1, scale=2.0),
+    HamiltonianSpec(q=3.0, varpi=0.0, scale=2.0),
+    HamiltonianSpec(q=1.5, varpi=0.0, scale=2.0),
 ]
 
 
@@ -210,12 +210,10 @@ def _prox_nested(mbar, wbar, sigma, V, hamiltonian, coupling):
 
 def _h_and_hp(H, p):
     # H and H_p by their formulas, finite at p = 0 for every q > 1
-    if H.family == "quadratic":
-        return 0.5 * H.scale * p * p, H.scale * p
-    r2 = p * p + H.varpi**2
+    s, r2 = 0.5 * H.scale, p * p + H.varpi**2
     if r2 == 0.0:
         return 0.0, 0.0
-    return H.scale * r2 ** (H.q / 2), H.scale * H.q * p * r2 ** (H.q / 2 - 1)
+    return s * r2 ** (H.q / 2), s * H.q * p * r2 ** (H.q / 2 - 1)
 
 
 def test_prox_small_sigma_near_identity():
@@ -367,9 +365,9 @@ def test_prox_firm_nonexpansive(rng):
 
 
 def test_prox_nested_agrees_with_fast_path():
-    # s*(p^2)^{2/2} at s = 1/2 is the quadratic family's p^2/2
-    h_pow = HamiltonianSpec(family="power", q=2.0, varpi=0.0, scale=0.5)
-    for H in EVERY_H + [h_pow]:
+    # q = 2 with varpi > 0 takes the closed form too
+    h_shift = HamiltonianSpec(q=2.0, varpi=0.5)
+    for H in EVERY_H + [h_shift]:
         for mbar, wbar in ((1.5, 0.8), (0.2, -1.1), (3.0, 0.0)):
             m_s, w_s = _prox_nested(mbar, wbar, 0.5, 0.2, H, C_ENT)
             m_f, w_f = prox_cell(mbar, wbar, 0.5, 0.2, H, C_ENT)

@@ -17,8 +17,8 @@ from mfplan.hamiltonian import (
 )
 
 QUAD = HamiltonianSpec()
-CUBIC = HamiltonianSpec(family="power", q=3.0, varpi=0.0)
-SOFT = HamiltonianSpec(family="power", q=1.5, varpi=0.1)
+CUBIC = HamiltonianSpec(q=3.0, varpi=0.0, scale=2.0)
+SOFT = HamiltonianSpec(q=1.5, varpi=0.1, scale=2.0)
 
 
 def test_h_eval_quadratic():
@@ -37,7 +37,7 @@ def test_h_eval_origin_flat_for_superquadratic():
 
 
 def test_degenerate_signals_at_origin():
-    bad = HamiltonianSpec(family="power", q=1.5, varpi=0.0)
+    bad = HamiltonianSpec(q=1.5, varpi=0.0, scale=2.0)
     # H_pp is +inf at the singular origin, finite away from it
     assert h_eval(bad, 0.0)[2] == math.inf
     assert np.isfinite(h_eval(bad, 1.0)[2])
@@ -47,8 +47,7 @@ def test_degenerate_signals_at_origin():
 
 
 @pytest.mark.parametrize("H", [QUAD, CUBIC, SOFT,
-                               HamiltonianSpec(family="power", q=2.0,
-                                               varpi=1.0, scale=0.7)])
+                               HamiltonianSpec(q=2.0, varpi=1.0, scale=1.4)])
 def test_derivative_consistency(H, rng):
     # centered differences of H match H_p, H_pp at 100 random points
     p = rng.uniform(-5.0, 5.0, size=100)
@@ -87,11 +86,11 @@ def test_legendre_cubic_closed_form():
 
 
 def test_legendre_at_zero_is_minus_H0():
-    H = HamiltonianSpec(family="power", q=2.0, varpi=1.0, scale=0.5)
+    H = HamiltonianSpec(q=2.0, varpi=1.0, scale=1.0)
     assert legendre_L(H, 0.0) == -h_eval(H, 0.0)[0]
 
 
-@pytest.mark.parametrize("H", [QUAD, CUBIC, SOFT])
+@pytest.mark.parametrize("H", [QUAD, CUBIC, SOFT, HamiltonianSpec(varpi=1.0, scale=0.7)])
 def test_youngs_inequality(H, rng):
     ps = rng.uniform(-4.0, 4.0, size=40)
     vs = rng.uniform(-4.0, 4.0, size=40)
@@ -108,7 +107,7 @@ def test_youngs_inequality(H, rng):
 
 def test_legendre_degenerate_origin():
     # varpi = 0, q < 2: H_pp is infinite at p = 0, but L needs only H, H_p
-    H = HamiltonianSpec(family="power", q=1.5, varpi=0.0)
+    H = HamiltonianSpec(q=1.5, varpi=0.0, scale=2.0)
     assert legendre_L(H, 0.0) == 0.0
     # H = |p|^1.5 has L(v) = (v/1.5)^3 * 0.5 at v > 0
     v = np.array([0.0, 1e-6, 0.3, 2.0])
