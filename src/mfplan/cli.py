@@ -39,10 +39,10 @@ def _fmt(x: float) -> str:
 def _write_fields_csv(path: Path, fields: dict[str, np.ndarray]):
     lines = ["field,t_index,x_index,value"]
     for name in sorted(fields):
-        values = fields[name]
-        for k in range(values.shape[0]):
-            for i in range(values.shape[1]):
-                lines.append(f"{name},{k},{i},{_fmt(values[k, i])}")
+        # one row of Python floats at a time: .17g of each is _fmt's text,
+        # without a numpy scalar per value
+        for k, row in enumerate(np.asarray(fields[name], dtype=float)):
+            lines.extend(f"{name},{k},{i},{v:.17g}" for i, v in enumerate(row.tolist()))
     path.write_text("\n".join(lines) + "\n")
 
 

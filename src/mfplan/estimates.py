@@ -321,9 +321,10 @@ def _oracle(m0, m1, grid: SpaceTimeGrid) -> np.ndarray:
     F1 = _cdf_edges(m1, grid.dx)
     n_s = 64 * grid.n_x
     s = (np.arange(n_s) + 0.5) / n_s
+    q0 = np.interp(s, F0, edges)  # the quantile of m0 does not move with theta
 
     def cost(theta):
-        d = np.interp(s, F0, edges) - _extended_quantile(s + theta, F1, edges, L)
+        d = q0 - _extended_quantile(s + theta, F1, edges, L)
         return float(np.mean(d * d))
 
     # circular transport: optimal rotation of the quantile pairing; on an

@@ -23,6 +23,7 @@ from .grids import DensityField, MomentumField, ProblemSpec, SpaceTimeGrid
 from .hamiltonian import (
     CouplingSpec,
     HamiltonianSpec,
+    Scratch,
     invert_hp,
     kinetic_density,
     safeguarded_newton,
@@ -84,32 +85,33 @@ def continuity_residual(state: PrimalState, spec: ProblemSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _reduced_gradient(m, mbar, wbar, sigma, V, hamiltonian: HamiltonianSpec,
-                      coupling: CouplingSpec):
+                      coupling: CouplingSpec, work: Scratch):
     """d/dm of the w-eliminated cell objective, its m-derivative, and H_p(p).
 
     The momentum dual p solves sigma p + m H_p(p) = wbar and the optimal
     momentum is w = m H_p(p); the kinetic part contributes -H(p) to the
     gradient and H_p^2/(sigma + m H_pp) to its derivative.  Both sums are
-    built in place, without the terms that vanish (eps = 0, f = 0).
+    built in place in arrays of work, without the terms that vanish
+    (eps = 0, f = 0).
     """
-    grad, hp, hpp = invert_hp(hamiltonian, wbar, m, sigma)[1:]
+    grad, hp, hpp = invert_hp(hamiltonian, wbar, m, sigma, work.sub("invert_hp"))[1:]
     eps, f_zero = coupling.epsilon, coupling.f_zero
-    term = np.empty_like(grad)
+    term = work("term")
     # grad = -H(p) + eps log m + V + f(m) + (m - mbar)/sigma
     np.negative(grad, out=grad)
     if eps > 0.0:
         grad += np.multiply(np.log(m, out=term), eps, out=term)
     grad += V
     if not f_zero:
-        grad += coupling.f(m)
+        grad += coupling.f(m, out=term)
     grad += np.divide(np.subtract(m, mbar, out=term), sigma, out=term)
     # curv = H_p^2/(sigma + m H_pp) + eps/m + f'(m) + 1/sigma
-    curv = hp * hp
+    curv = np.multiply(hp, hp, out=work("curv"))
     curv /= np.add(np.multiply(m, hpp, out=term), sigma, out=term)
     if eps > 0.0:
         curv += np.divide(eps, m, out=term)
     if not f_zero:
-        curv += coupling.f_prime(m)
+        curv += coupling.f_prime(m, out=term)
     curv += 1.0 / sigma
     return grad, curv, hp
 
@@ -122,6 +124,7 @@ def prox_block(
     hamiltonian: HamiltonianSpec,
     coupling: CouplingSpec,
     m_start: np.ndarray | None = None,
+    work: Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized prox of the cell integrand for any radial H.
 
@@ -145,51 +148,73 @@ def prox_block(
     (0, m_hi) starts at m_hi/2.  With m_start=None it starts at mbar, or at
     m_hi/2 in the corner case.  The start changes the answer only within
     the tolerance.
+
+    Every array the prox computes, the returned m and w included, is one of
+    work's, named "m" and "w" for the two outputs, so that a splitting
+    loop that passes the same work every call allocates no cell-sized
+    array; m_start must not be one of them.  With work=None each call makes
+    its own, and the next call does not overwrite what it returned.
     """
     mbar, wbar, V = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (mbar, wbar, V)))
-    top = invert_hp(hamiltonian, wbar, 0.0, sigma)[1]  # H(wbar/sigma) >= H(p)
-    tol = 1e-11 * np.maximum(1.0, np.abs(V) + np.abs(mbar) / sigma + top)
+    work = Scratch(mbar.shape) if work is None else work
+    m, w = work("m"), work("w")  # w is scratch until the end
+    # H(wbar/sigma) >= H(p), kept apart from the gradients' invert_hp arrays
+    top = work("top")
+    np.copyto(top, invert_hp(hamiltonian, wbar, 0.0, sigma, work.sub("invert_hp"))[1])
+    # tol = 1e-11 max(1, |V| + |mbar|/sigma + top)
+    tol = np.abs(V, out=work("tol"))
+    tol += np.divide(np.abs(mbar, out=w), sigma, out=w)
+    tol += top
+    np.multiply(np.maximum(tol, 1.0, out=tol), 1e-11, out=tol)
     top -= V  # now H(wbar/sigma) - V
     # eps = 0 and f(0+) finite: the corner m = 0 is optimal where the
-    # gradient is already >= 0 there
-    corner = None if coupling.interior else ~(coupling.f(1e-300) - top - mbar / sigma < 0.0)
+    # gradient f(0+) - top - mbar/sigma is already >= 0 there
+    corner = None
+    if not coupling.interior:
+        np.subtract(coupling.f(1e-300), top, out=w)
+        w -= np.divide(mbar, sigma, out=m)
+        corner = np.less(w, 0.0, out=work("corner", bool))
+        np.logical_not(corner, out=corner)
     # for m >= 1 the entropy and f are >= 0, so the gradient is >= 0 at m_hi
-    m_hi = np.maximum(np.multiply(top, sigma, out=top) + mbar, 1.0, out=top)
+    m_hi = np.maximum(np.add(np.multiply(top, sigma, out=top), mbar, out=top), 1.0, out=top)
     vel = None  # H_p(p) at the last evaluation
 
     if coupling.interior:
-        m = np.empty_like(mbar)  # exp(y) at the last evaluation
-
+        # m holds exp(y) at the last evaluation
         def in_log(y):
             nonlocal vel
             g, curv, vel = _reduced_gradient(
-                np.exp(y, out=m), mbar, wbar, sigma, V, hamiltonian, coupling)
+                np.exp(y, out=m), mbar, wbar, sigma, V, hamiltonian, coupling, work)
             curv *= m
             return g, curv
 
         hi = np.log(m_hi, out=m_hi)
         start = (mbar, 1e-12) if m_start is None else (m_start, 1e-300)
+        y = np.log(np.maximum(*start, out=work("y")), out=work("y"))
         # exp underflows below -746, where the gradient is -inf
-        safeguarded_newton(in_log, np.minimum(np.log(np.maximum(*start)), hi),
-                           -746.0, hi, tol)
+        safeguarded_newton(in_log, np.minimum(y, hi, out=y), -746.0, hi, tol,
+                           work.sub("newton"))
     else:
         def in_m(y):
             nonlocal vel
             g, curv, vel = _reduced_gradient(
-                y, mbar, wbar, sigma, V, hamiltonian, coupling)
+                y, mbar, wbar, sigma, V, hamiltonian, coupling, work)
             return g, curv
 
-        m = np.multiply(m_hi, 0.5)  # the start, then Newton's iterate
+        np.multiply(m_hi, 0.5, out=m)  # the start, then Newton's iterate
         if m_start is not None:
-            prev = np.broadcast_to(m_start, mbar.shape)
-            np.copyto(m, prev, where=(prev > 0.0) & (prev < m_hi))
+            # the start where 0 < m_start < m_hi: the second test runs only
+            # where the first holds and leaves False elsewhere
+            inside = np.greater(m_start, 0.0, out=work("inside", bool))
+            np.less(m_start, m_hi, out=inside, where=inside)
+            np.copyto(m, m_start, where=inside)
         np.copyto(m, 0.0, where=corner)
         np.copyto(tol, np.inf, where=corner)
         # curv at m = 0 may hold f'(0) = inf and 0 * inf: never read there
         with np.errstate(divide="ignore", invalid="ignore"):
-            safeguarded_newton(in_m, m, 0.0, m_hi, tol)
-    return m, m * vel
+            safeguarded_newton(in_m, m, 0.0, m_hi, tol, work.sub("newton"))
+    return m, np.multiply(m, vel, out=w)
 
 
 def prox_cell(

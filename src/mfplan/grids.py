@@ -106,31 +106,44 @@ class SpaceTimeGrid:
         """The faces (and space nodes) on the no-flux boundary."""
         return [] if self.periodic else [0, -1]
 
-    # the two time-node -> time-cell stencils along the first axis
-    def diff_t(self, values: np.ndarray) -> np.ndarray:
+    # the two time-node -> time-cell stencils along the first axis; each
+    # edge -> cell stencil writes into out, a float array of the cell
+    # shape, when it is given
+    def diff_t(self, values: np.ndarray, out=None) -> np.ndarray:
         """Difference quotient across each time cell of time-node values."""
-        return (values[1:] - values[:-1]) / self.dt
+        out = np.subtract(values[1:], values[:-1], out=out)
+        out /= self.dt
+        return out
 
-    def avg_t(self, values: np.ndarray) -> np.ndarray:
+    def avg_t(self, values: np.ndarray, out=None) -> np.ndarray:
         """Mean of time-node values over each time cell."""
-        return 0.5 * (values[:-1] + values[1:])
+        out = np.add(values[:-1], values[1:], out=out)
+        out *= 0.5
+        return out
 
-    # the two edge -> cell stencils along the last axis; on the torus the
-    # right edge of the last cell is edge 0, appended by _closed
-    def diff_x(self, values: np.ndarray) -> np.ndarray:
+    # the two edge -> cell stencils along the last axis
+    def diff_x(self, values: np.ndarray, out=None) -> np.ndarray:
         """Difference quotient across each cell of edge values."""
-        values = self._closed(values)
-        return (values[..., 1:] - values[..., :-1]) / self.dx
+        out = self._edges(np.subtract, values, out)
+        out /= self.dx
+        return out
 
-    def avg_x(self, values: np.ndarray) -> np.ndarray:
+    def avg_x(self, values: np.ndarray, out=None) -> np.ndarray:
         """Mean of edge values over each cell."""
-        values = self._closed(values)
-        return 0.5 * (values[..., :-1] + values[..., 1:])
+        out = self._edges(np.add, values, out)
+        out *= 0.5
+        return out
 
-    def _closed(self, values: np.ndarray) -> np.ndarray:
-        if self.periodic:
-            return np.concatenate((values, values[..., :1]), axis=-1)
-        return values
+    def _edges(self, op, values: np.ndarray, out) -> np.ndarray:
+        """op(right edge, left edge) of each cell, into out (new if None); on
+        the torus the right edge of the last cell is edge 0."""
+        right, left = values[..., 1:], values[..., :-1]
+        if not self.periodic:
+            return op(right, left, out=out)
+        out = np.empty(values.shape) if out is None else out
+        op(right, left, out=out[..., :-1])
+        op(values[..., :1], values[..., -1:], out=out[..., -1:])
+        return out
 
     # the two node -> node first derivatives: centered inside, wrapped on the
     # torus and one-sided second order at the ends of an interval

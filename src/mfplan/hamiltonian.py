@@ -46,22 +46,67 @@ class HamiltonianSpec:
         return self.q == 2.0 or self.varpi > 0.0
 
 
-def h_eval(H: HamiltonianSpec, p):
-    """(H, H_p, H_pp) at p, vectorized, with H_pp = +inf at a singular origin."""
+class Scratch:
+    """Arrays of one shape that a solve writes into, one per name, made on
+    first use and kept as long as the Scratch.  Arrays passed by keyword
+    are used under their names.  A nested solve takes sub(name), a set of
+    its own, so that it never writes into its caller's arrays."""
+
+    def __init__(self, shape, **arrays):
+        self.shape = shape
+        self._arrays = arrays
+
+    def __call__(self, name: str, dtype=float) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None:
+            a = self._arrays[name] = np.empty(self.shape, dtype)
+        return a
+
+    def sub(self, name: str) -> Scratch:
+        s = self._arrays.get(name)
+        if s is None:
+            s = self._arrays[name] = Scratch(self.shape)
+        return s
+
+
+def h_eval(H: HamiltonianSpec, p, work: Scratch | None = None):
+    """(H, H_p, H_pp) at p, vectorized, with H_pp = +inf at a singular origin.
+
+    The three are written into arrays of work (a new Scratch if None).
+    """
     p = np.asarray(p, dtype=float)
+    work = Scratch(p.shape) if work is None else work
+    val, hp, hpp = work("H"), work("H_p"), work("H_pp")
     if H.q == 2.0:
         s = H.scale
-        return 0.5 * s * p * p + 0.5 * s * H.varpi**2, s * p, np.full(p.shape, s)
+        np.multiply(p, 0.5 * s, out=val)
+        val *= p
+        val += 0.5 * s * H.varpi**2
+        hpp.fill(s)
+        return val, np.multiply(p, s, out=hp), hpp
     s, q, w2 = 0.5 * H.scale, H.q, H.varpi**2
-    r2 = p * p + w2
+    r2 = np.multiply(p, p, out=work("r2"))
+    r2 += w2
+    t = work("h_tmp")
+    # the powers in place (**=), so they take the same paths as r2 ** e
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = s * r2 ** (q / 2)
-        hp = s * q * p * r2 ** (q / 2 - 1)
-        hpp = s * q * r2 ** (q / 2 - 2) * ((q - 1) * p * p + w2)
+        np.copyto(val, r2)
+        val **= q / 2
+        val *= s
+        np.copyto(hp, r2)
+        hp **= q / 2 - 1
+        hp *= np.multiply(p, s * q, out=t)
+        np.copyto(hpp, r2)
+        hpp **= q / 2 - 2
+        hpp *= s * q
+        np.multiply(p, q - 1, out=t)
+        t *= p
+        t += w2
+        hpp *= t
     if w2 == 0.0:  # s|p|^q: H and H_p vanish at 0, H_pp is 0 or +inf
-        origin = p == 0.0
-        hp = np.where(origin, 0.0, hp)
-        hpp = np.where(origin, 0.0 if q > 2.0 else np.inf, hpp)
+        origin = np.equal(p, 0.0, out=work("origin", bool))
+        np.copyto(hp, 0.0, where=origin)
+        np.copyto(hpp, 0.0 if q > 2.0 else np.inf, where=origin)
     return val, hp, hpp
 
 
@@ -87,24 +132,30 @@ class KernelSolveError(SolveError):
     """A scalar kernel (cell prox, Legendre transform, phi) did not converge."""
 
 
-def safeguarded_newton(fun, y, lo, hi, tol):
+def safeguarded_newton(fun, y, lo, hi, tol, work: Scratch | None = None):
     """Solve g(y) = 0 cellwise for nondecreasing g by Newton with bisection.
 
     fun(y) returns (g, g') at every cell of y, in y's shape.  The iterates
     are written into y itself when it is a writable float array (else into
     a copy), so fun must not keep y, and the caller must not reuse the
-    start.  [lo, hi] must bracket every root; its endpoints are evaluated
-    only where a cell starts there.  Every round evaluates every cell, and
-    a cell with |g| <= tol no longer moves, so its value is the last one
-    evaluated, bit for bit (with tol = inf a cell stays at its start; a
-    NaN g never converges).  A Newton step that leaves the bracket is
-    replaced by the bracket's midpoint.  Raises KernelSolveError when a
-    cell has not converged after MAX_ITER evaluations.
+    start.  The bracket, the step and the masks are arrays of work (a new
+    Scratch if None).  [lo, hi] must bracket every root; its endpoints are
+    evaluated only where a cell starts there.  Every round evaluates every
+    cell, and a cell with |g| <= tol no longer moves, so its value is the
+    last one evaluated, bit for bit (with tol = inf a cell stays at its
+    start; a NaN g never converges).  A Newton step that leaves the
+    bracket is replaced by the bracket's midpoint.  Raises
+    KernelSolveError when a cell has not converged after MAX_ITER
+    evaluations.
     """
     y = np.require(y, dtype=float, requirements="W")
-    lo, hi = (np.full(y.shape, a, dtype=float) for a in (lo, hi))
-    live, side, inside = (np.empty(y.shape, dtype=bool) for _ in range(3))
-    step = np.empty_like(y)  # |g|, then the Newton step, then the midpoint
+    work = Scratch(y.shape) if work is None else work
+    bracket = work("lo"), work("hi")
+    np.copyto(bracket[0], lo)
+    np.copyto(bracket[1], hi)
+    lo, hi = bracket
+    live, side, inside = (work(name, bool) for name in ("live", "side", "inside"))
+    step = work("step")  # |g|, then the Newton step, then the midpoint
     for k in range(MAX_ITER):
         g, gp = fun(y)
         np.less_equal(np.abs(g, out=step), tol, out=live)
@@ -119,7 +170,7 @@ def safeguarded_newton(fun, y, lo, hi, tol):
         np.putmask(hi, np.greater(g, 0.0, out=side), y)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.subtract(y, np.divide(g, gp, out=step), out=step)
-        del g, gp  # free them before the next evaluation makes its own
+        del g, gp  # a fun that allocates frees them before its next call
         # a live cell takes its Newton step if it stays inside the bracket
         np.logical_and(np.greater(step, lo, out=side), np.less(step, hi, out=inside),
                        out=inside)
@@ -132,7 +183,8 @@ def safeguarded_newton(fun, y, lo, hi, tol):
     )
 
 
-def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0):
+def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0,
+              work: Scratch | None = None):
     """Solve sigma*p + m*H_p(p) = rhs for p; return (p, H, H_p, H_pp) at p.
 
     Vectorized over rhs and m (m >= 0, sigma >= 0, sigma + m > 0).  For
@@ -141,30 +193,47 @@ def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0):
     with s = scale/2, because H_p(p) >= s q 2^{min(q-2,0)} |p|^{q-1} for
     |p| >= varpi.  Closed form for q = 2, whose H_pp is returned as the
     scalar H.scale (it does not depend on p); safeguarded Newton from that
-    edge otherwise.
+    edge otherwise, on a Scratch of its own inside work.  The arrays
+    returned are work's (a new Scratch if None).
     """
-    rhs = np.asarray(rhs, dtype=float)
-    if H.q == 2.0:
+    rhs, m = np.asarray(rhs, dtype=float), np.asarray(m, dtype=float)
+    work = Scratch(np.broadcast_shapes(rhs.shape, m.shape)) if work is None else work
+    p = work("p")
+    if H.q == 2.0:  # h_eval's closed form, without the constant H_pp array
         s = H.scale
-        p = rhs / (sigma + s * np.asarray(m, dtype=float))
-        return p, 0.5 * s * p * p + 0.5 * s * H.varpi**2, s * p, s
-    m = np.broadcast_to(np.asarray(m, dtype=float), rhs.shape)
-    a = np.abs(rhs)
+        np.divide(rhs, np.add(np.multiply(m, s, out=p), sigma, out=p), out=p)
+        val = np.multiply(p, 0.5 * s, out=work("H"))
+        val *= p
+        val += 0.5 * s * H.varpi**2
+        return p, val, np.multiply(p, s, out=work("H_p")), s
+    a = np.abs(rhs, out=work("abs"))
+    reach, tol = work("reach"), work("tol")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        reach = H.varpi + (4.0 * a / (m * H.scale * H.q)) ** (1.0 / (H.q - 1.0))
+        # reach = varpi + (4 a / (m scale q))^(1/(q-1)), at most a/sigma
+        np.multiply(a, 4.0, out=reach)
+        reach /= np.multiply(np.multiply(m, H.scale, out=tol), H.q, out=tol)
+        reach **= 1.0 / (H.q - 1.0)
+        reach += H.varpi
         if sigma > 0.0:
-            reach = np.minimum(reach, a / sigma)
-    edge = np.copysign(np.where(a == 0.0, 0.0, reach), rhs)
-    lo, hi = np.minimum(edge, 0.0), np.maximum(edge, 0.0)
-    tol = 1e-13 * np.maximum(a, sigma + m)
+            np.minimum(reach, np.divide(a, sigma, out=tol), out=reach)
+    np.copyto(reach, 0.0, where=np.equal(a, 0.0, out=work("zero", bool)))
+    edge = np.copysign(reach, rhs, out=p)  # the start, then Newton's iterate
+    lo, hi = np.minimum(edge, 0.0, out=work("lo")), np.maximum(edge, 0.0, out=work("hi"))
+    # tol = 1e-13 max(a, sigma + m)
+    np.multiply(np.maximum(a, np.add(m, sigma, out=tol), out=tol), 1e-13, out=tol)
+    g, gp = work("g"), work("g_p")
 
     def fun(p):
-        _, hp, hpp = h_eval(H, p)
+        _, hp, hpp = h_eval(H, p, work)
         with np.errstate(invalid="ignore"):  # 0 * inf at m = 0, p = 0
-            return sigma * p + m * hp - rhs, sigma + m * hpp
+            # g = sigma p + m H_p - rhs, g' = sigma + m H_pp
+            np.add(np.multiply(p, sigma, out=g), np.multiply(m, hp, out=gp), out=g)
+            np.subtract(g, rhs, out=g)
+            np.add(np.multiply(m, hpp, out=gp), sigma, out=gp)
+        return g, gp
 
-    p = safeguarded_newton(fun, edge, lo, hi, tol)
-    return (p, *h_eval(H, p))
+    safeguarded_newton(fun, edge, lo, hi, tol, work.sub("newton"))
+    return (p, *h_eval(H, p, work))
 
 
 def legendre_L(H: HamiltonianSpec, v):
@@ -229,18 +298,33 @@ class CouplingSpec:
         for name, value in (("f_params", params), ("c", c), ("a", a)):
             object.__setattr__(self, name, value)
 
-    # -- the coupling f and its derivatives (vectorized; exact zeros if c = 0)
-    def f(self, m):
+    # -- the coupling f and its derivatives (vectorized; exact zeros if c = 0);
+    # f and f_prime write into out, an array shaped like m, when it is given
+    def f(self, m, out=None):
         m, c, a = np.asarray(m, dtype=float), self.c, self.a
+        out = np.empty_like(m) if out is None else out
         if c == 0.0:
-            return np.zeros_like(m)
-        return c * np.log(m) if a is None else c * m**a
+            out.fill(0.0)
+        elif a is None:
+            np.multiply(np.log(m, out=out), c, out=out)
+        else:  # c m^a, the power in place (**=) as m ** a takes it
+            np.copyto(out, m)
+            out **= a
+            out *= c
+        return out
 
-    def f_prime(self, m):
+    def f_prime(self, m, out=None):
         m, c, a = np.asarray(m, dtype=float), self.c, self.a
+        out = np.empty_like(m) if out is None else out
         if c == 0.0:
-            return np.zeros_like(m)
-        return c / m if a is None else c * a * m ** (a - 1.0)
+            out.fill(0.0)
+        elif a is None:
+            np.divide(c, m, out=out)
+        else:
+            np.copyto(out, m)
+            out **= a - 1.0
+            out *= c * a
+        return out
 
     def f_second(self, m):
         m, c, a = np.asarray(m, dtype=float), self.c, self.a
@@ -327,6 +411,7 @@ __all__ = [
     "CouplingSpec",
     "KernelSolveError",
     "SolveError",
+    "Scratch",
     "h_eval",
     "h_third",
     "safeguarded_newton",

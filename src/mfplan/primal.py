@@ -19,6 +19,15 @@ the primal gap y - z (z the graph projection) and the subgradient sum
 (y - z)/sigma, so the stop does not depend on sigma.  The iteration keeps
 the output continuity-feasible at every step; the functional value,
 non-monotone under splitting, is evaluated once, at the last prox output.
+
+An iteration allocates no cell-sized array but the two LU solve outputs of
+the graph projection.  It writes into arrays that one solve_primal call
+makes and frees when it returns: the four iterates (the projections work
+in the cell views of p and z before those are written), the prox's
+Scratch (the prox writes its m and w into the cell views of y), and the
+warm start's copy of the last output and its extrapolation.  None is kept
+across calls; the cached per-grid operators hold only their factors and
+two padded arrays.
 """
 from __future__ import annotations
 
@@ -31,6 +40,7 @@ from scipy.sparse.linalg import splu
 
 from .functional import PrimalState, continuity_residual, integrand, prox_block
 from .grids import DensityField, MomentumField, ProblemSpec, SpaceTimeGrid
+from .hamiltonian import Scratch
 
 
 SIGMA = 1.0  # initial prox step
@@ -100,53 +110,70 @@ class _Operators:
 
     # C and A apply the stencils to m and w padded with their fixed edges at
     # 0 (scratch arrays whose edges stay 0); a transpose maps the cell values
-    # to the edges between them, on the torus starting before cell 0
+    # to the edges between them, on the torus starting before cell 0.  Each
+    # writes into out (new arrays where None); tmp, a cell-shaped array, is
+    # the scratch of the torus and of C
     def _padded(self, m, w):
         self._m_pad[1:-1], self._w_pad[:, self.grid.free] = m, w
         return self._m_pad, self._w_pad
 
-    def _to_free(self, v):
-        if self.grid.periodic:
-            return np.concatenate((v[..., -1:], v[..., :-1]), axis=-1)
-        return v
+    def _to_free(self, stencil, cells, out, tmp):
+        if not self.grid.periodic:
+            return stencil(cells, out=out)
+        v = stencil(cells, out=tmp)
+        out = np.empty_like(v) if out is None else out
+        out[..., 0], out[..., 1:] = v[..., -1], v[..., :-1]
+        return out
 
-    def C(self, m, w):
+    def C(self, m, w, out=None, tmp=None):
         m, w = self._padded(m, w)
-        return self.grid.diff_t(m) - self.grid.diff_x(w)
+        out = self.grid.diff_t(m, out=out)
+        out -= self.grid.diff_x(w, out=tmp)
+        return out
 
-    def CT(self, lam):
-        return -self.grid.diff_t(lam), self._to_free(self.grid.diff_x(lam))
+    def CT(self, lam, out=(None, None), tmp=None):
+        pm = self.grid.diff_t(lam, out=out[0])
+        return np.negative(pm, out=pm), self._to_free(self.grid.diff_x, lam, out[1], tmp)
 
-    def A(self, m, w):
+    def A(self, m, w, out=(None, None)):
         m, w = self._padded(m, w)
-        return self.grid.avg_t(m), self.grid.avg_x(w)
+        return self.grid.avg_t(m, out=out[0]), self.grid.avg_x(w, out=out[1])
 
-    def AT(self, M, W):
-        return self.grid.avg_t(M), self._to_free(self.grid.avg_x(W))
+    def AT(self, M, W, out=(None, None), tmp=None):
+        return self.grid.avg_t(M, out=out[0]), self._to_free(self.grid.avg_x, W, out[1], tmp)
 
-    def project(self, m, w, d, out):
+    def project(self, m, w, d, out, scratch=None):
         """Nearest (m', w') to (m, w) with C(m', w') = d, for d in the range
         of C, by the pseudo-inverse of C C^T, written into out, two arrays
-        shaped like (m, w)."""
+        shaped like (m, w) and apart from them.  It works in scratch, two
+        cell-shaped arrays (new ones if None)."""
+        a, b = np.empty((2, *self.shapes[2])) if scratch is None else scratch
         Q_t, Q_x = self._Q_t, self._Q_x
-        r = Q_t.T @ (self.C(m, w) - d) @ Q_x
-        pm, pw = self.CT(Q_t @ (r * self._cc_pinv) @ Q_x.T)
-        np.subtract(m, pm, out=out[0])
-        np.subtract(w, pw, out=out[1])
+        self.C(m, w, out=a, tmp=b)
+        a -= d
+        r = np.matmul(np.matmul(Q_t.T, a, out=b), Q_x, out=a)
+        r *= self._cc_pinv
+        lam = np.matmul(np.matmul(Q_t, r, out=b), Q_x.T, out=a)
+        pm, pw = self.CT(lam, out=out, tmp=b)
+        np.subtract(m, pm, out=pm)
+        np.subtract(w, pw, out=pw)
         return out
 
     def graph_project(self, m, w, M, W, b, out):
         """Nearest (U*, A U* + b) to (U, V) on the graph of the averaging:
         (I + A^T A) U* = U + A^T (V - b), one LU solve per axis.  The result
-        is written into out, four arrays shaped like (m, w, M, W); the
-        inputs are never written."""
-        am, aw = self.AT(M - b, W)
-        zm = self._lu_t.solve(m + am)
-        zw = self._lu_x.solve((w + aw).T).T
-        zM, zW = self.A(zm, zw)
+        is written into out, four arrays shaped like (m, w, M, W) and apart
+        from the inputs, which are never written.  The two LU solves return
+        new arrays, copied into out."""
+        zm, zw, zM, zW = out
+        # zM and zW are scratch until A writes them
+        am, aw = self.AT(np.subtract(M, b, out=zM), W, out=(zm, zw), tmp=zW)
+        am += m
+        aw += w
+        zm[...] = self._lu_t.solve(am)
+        zw[...] = self._lu_x.solve(aw.T).T
+        self.A(zm, zw, out=(zM, zW))
         zM += b
-        for a, v in zip(out, (zm, zw, zM, zW)):
-            a[...] = v
         return out
 
 
@@ -179,30 +206,49 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     s, y, p, z = np.empty((4, ops.ends[-1]))
     s_, y_, p_, z_ = map(ops.split, (s, y, p, z))
     lam = np.linspace(0.0, 1.0, g.n_t + 1)[1:-1, None]
+    # the continuity projection works in the cell views of p, which every
+    # iteration writes anew after it
     ops.project((1.0 - lam) * spec.m0 + lam * spec.m1, np.zeros(ops.shapes[1]),
-                d, out=s_[:2])
-    M, s_[3][...] = ops.A(*s_[:2])
-    np.add(M, b, out=s_[2])
+                d, out=s_[:2], scratch=p_[2:])
+    np.add(ops.A(*s_[:2], out=s_[2:])[0], b, out=s_[2])
 
     log = PrimalLog()
     sigma = SIGMA
-    # the first prox starts cold, later ones at the log-linear extrapolation
-    # of the last two outputs (the last output alone after a step change)
-    mY = mY_prev = None
+    # the prox writes its outputs into y's cell views and its scratch into
+    # prox_work's arrays, made at its first call
+    prox_work = Scratch(ops.shapes[2], m=y_[2], w=y_[3])
+    V = np.broadcast_to(spec.V, ops.shapes[2]).copy()  # adds without a buffer
+    m_prev, m_next = np.empty((2, *ops.shapes[2]))
+    positive = np.empty(ops.shapes[2], dtype=bool)
+    # the first prox starts cold, the next one (and the first after a step
+    # change) at the last output m_prev, later ones at the log-linear
+    # extrapolation m_next = m^2 / m_prev of the last two outputs
+    warm = 0  # outputs the start uses: none, the last or the last two
     for it in range(1, MAX_ITERS + 1):
-        ops.project(*s_[:2], d, out=y_[:2])
-        m_start = mY if mY_prev is None else np.divide(
-            mY * mY, mY_prev, out=mY.copy(), where=(mY > 0.0) & (mY_prev > 0.0))
-        mY_prev = mY
+        ops.project(*s_[:2], d, out=y_[:2], scratch=p_[2:])
+        mY = y_[2]
+        if warm == 2:
+            # m^2 / m_prev where both are > 0 (the second test runs only
+            # where the first holds), m elsewhere
+            np.greater(mY, 0.0, out=positive)
+            np.greater(m_prev, 0.0, out=positive, where=positive)
+            np.copyto(m_next, mY)
+            np.multiply(m_next, mY, out=m_next, where=positive)
+            np.divide(m_next, m_prev, out=m_next, where=positive)
+        if warm:
+            np.copyto(m_prev, mY)
         # the uniform dt*dx weight does not move the minimizer, so the
         # iteration minimizes the unweighted cell sum (better-scaled prox)
-        mY, wY = prox_block(
-            s_[2], s_[3], sigma, spec.V, spec.hamiltonian, spec.coupling, m_start,
-        )
-        y_[2][...], y_[3][...] = mY, wY
+        # (no copy: the outputs are already y's views)
+        y_[2][...], y_[3][...] = prox_block(
+            s_[2], s_[3], sigma, V, spec.hamiltonian, spec.coupling,
+            (None, m_prev, m_next)[warm], prox_work)
+        warm = min(warm + 1, 2)
 
         if it % BALANCE_EVERY == 0:
-            y_norm, su_norm = np.linalg.norm(y), np.linalg.norm(s - y)
+            # z, the last increment, is spent: it holds s - y
+            su = np.subtract(s, y, out=z)
+            y_norm, su_norm = np.linalg.norm(y), np.linalg.norm(su)
             if y_norm >= 2.0 * su_norm:  # ||y|| >= 2 sigma ||u||
                 step = min(2.0 * sigma, SIGMA_MAX)
             elif 2.0 * y_norm <= su_norm:
@@ -211,8 +257,9 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
                 step = sigma
             if step != sigma:
                 # y = prox_step(s') for s' = y + step*u: y and u stay
-                s[...] = y + (step / sigma) * (s - y)
-                sigma, mY_prev = step, None
+                su *= step / sigma
+                np.add(y, su, out=s)
+                sigma, warm = step, 1
 
         np.multiply(y, 2.0, out=p)
         p -= s
@@ -234,11 +281,14 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     else:
         log.reason = f"max_iters ({MAX_ITERS}) reached"
     log.sigma = sigma
+    # free the prox's buffers before the returned fields are made, so that
+    # those reuse the memory instead of pinning it below them
+    del prox_work, V, m_prev, m_next, positive
 
     m = np.concatenate([spec.m0[None], y_[0], spec.m1[None]])
     w = np.zeros((g.n_t, g.n_faces))
     w[:, g.free] = y_[1]
     state = PrimalState(DensityField(g, m), MomentumField(g, w))
-    log.final_value = float(np.sum(integrand(mY, wY, spec)) * g.dt * g.dx)
+    log.final_value = float(np.sum(integrand(y_[2], y_[3], spec)) * g.dt * g.dx)
     log.feasibility = float(np.max(np.abs(continuity_residual(state, spec))))
     return state, log

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 import mfplan
+from mfplan import cli
 
 from mfplan.cli import (
     EXIT_CHECK_FAILED,
@@ -697,3 +698,17 @@ problem:
     assert np.max(np.abs(cfg.spec.m0 - m)) <= 1e-12
     assert run(str(p), "solve", method="primal",
                out=str(tmp_path / "o")) == EXIT_OK
+
+
+def test_fields_csv_writes_fmt_of_each_value(tmp_path):
+    # the row-wise writer gives the text of _fmt, value by value, on signed
+    # zeros, nan, infinities and subnormals too
+    values = np.array([[0.0, -0.0, np.nan, np.inf],
+                       [-np.inf, 5e-324, -2.2e-308, 1.0 / 3.0]])
+    fields = {"b": values, "a": -values[::-1]}
+    path = tmp_path / "fields.csv"
+    cli._write_fields_csv(path, fields)
+    want = ["field,t_index,x_index,value"] + [
+        f"{name},{k},{i},{cli._fmt(fields[name][k, i])}"
+        for name in ("a", "b") for k in range(2) for i in range(4)]
+    assert path.read_text() == "\n".join(want) + "\n"

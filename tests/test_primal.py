@@ -397,7 +397,9 @@ def test_prox_warm_started_from_previous_iterate(monkeypatch):
     assert warm.converged
     assert len(evals) <= 3.5 * len(calls)
 
-    monkeypatch.setattr(primal, "prox_block", lambda *args: prox_block(*args[:6]))
+    # a cold start every call, on the solver's buffers
+    monkeypatch.setattr(primal, "prox_block",
+                        lambda *args: prox_block(*args[:6], None, *args[7:]))
     _, cold = solve_primal(spec)
     assert cold.converged and cold.iters == warm.iters
 
