@@ -85,7 +85,9 @@ def _describe(cfg: RunConfig) -> str:
         f" ({g.topology})",
         f"hamiltonian: H = scale/2 (p^2 + varpi^2)^(q/2), q={_fmt(H.q)}"
         f" varpi={_fmt(H.varpi)} scale={_fmt(H.scale)}",
-        f"coupling: eps={_fmt(C.epsilon)} f={C.f_family} params={list(C.f_params)}",
+        f"coupling: eps={_fmt(C.epsilon)} f = "
+        + ("0" if C.f_zero else f"c log m, c={_fmt(C.c)}" if C.a is None
+           else f"c m^a, c={_fmt(C.c)} a={_fmt(C.a)}"),
         f"method: {cfg.method}",
         f"checks: {list(cfg.checks)}",
         f"mass defects: m0={_fmt(cfg.spec.mass_defect_m0)}"

@@ -5,8 +5,8 @@ key, and unknown keys are rejected by name.  One reader, ``_read``, reads
 every block through a schema {name: (convert, default)}.  The settings
 blocks pass only the keys present to their dataclass, which keeps the
 defaults and range checks; a range error names the block.  The Hamiltonian,
-potential and marginal families are tables of the same kind, so their
-errors name the exact parameter.  The resolved RunConfig holds a fully
+coupling, potential and marginal families are tables of the same kind, so
+their errors name the exact parameter.  The resolved RunConfig holds a fully
 validated ProblemSpec plus solver/check settings.
 
 Marginals and potentials are sampled both at cell centers and at cell
@@ -166,10 +166,6 @@ _GRID = _settings(SpaceTimeGrid, {
     "x_max": (_finite, REQUIRED), "n_t": (_integer, REQUIRED),
     "n_x": (_integer, REQUIRED), "topology": (_string, None),
 }, t_horizon="T")
-_COUPLING = _settings(CouplingSpec, {
-    "epsilon": (_finite, None), "f_family": (_string, None),
-    "f_params": (_floats, None),
-})
 _PRIMAL = _settings(PrimalConfig, {"tol_kkt": (_finite, None)})
 
 
@@ -199,6 +195,28 @@ def _hamiltonian(block, key: str) -> HamiltonianSpec:
         if family == "quadratic":
             return HamiltonianSpec(scale=p["scale"])
         return HamiltonianSpec(p["q"], p["varpi"], 2.0 * p["scale"])
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
+
+
+# the f_params of each coupling family: CouplingSpec's c and a, in order
+_F_FAMILIES = {"zero": (), "power": ("c", "a"), "log": ("c",)}
+
+
+def _coupling(block, key: str) -> CouplingSpec:
+    """f^eps of {epsilon, f_family, f_params}: f = c m^a of power (c, a),
+    c log m of log (c,), or 0 of zero ()."""
+    p = _read(block, key, {"epsilon": (_finite, CouplingSpec.epsilon),
+                           "f_family": (_string, "zero"), "f_params": (_floats, ())})
+    family, params = p["f_family"], p["f_params"]
+    if family not in _F_FAMILIES:
+        raise ConfigError(f"{key}.f_family", f"unknown family {family!r}")
+    names = _F_FAMILIES[family]
+    if len(params) != len(names):
+        raise ConfigError(f"{key}.f_params", f"the {family} family takes "
+                          f"{len(names)} parameters, got {len(params)}")
+    try:
+        return CouplingSpec(p["epsilon"], **dict(zip(names, params)))
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from None
 
@@ -337,7 +355,7 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     })
     grid = top.pop("grid")
     prob = _read(top.pop("problem"), "problem", {
-        "hamiltonian": (_hamiltonian, {}), "coupling": (_COUPLING, {}),
+        "hamiltonian": (_hamiltonian, {}), "coupling": (_coupling, {}),
         "potential": (_mapping, {}), "m0": (_mapping, REQUIRED),
         "m1": (_mapping, REQUIRED),
     })

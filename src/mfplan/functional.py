@@ -86,31 +86,27 @@ def continuity_residual(state: PrimalState, spec: ProblemSpec) -> np.ndarray:
 
 def _reduced_gradient(m, mbar, wbar, sigma, V, hamiltonian: HamiltonianSpec,
                       coupling: CouplingSpec, work: Scratch):
-    """d/dm of the w-eliminated cell objective, its m-derivative, and H_p(p).
+    """d/dm of the w-eliminated cell objective without its entropy, its
+    m-derivative, and H_p(p).
 
     The momentum dual p solves sigma p + m H_p(p) = wbar and the optimal
     momentum is w = m H_p(p); the kinetic part contributes -H(p) to the
     gradient and H_p^2/(sigma + m H_pp) to its derivative.  Both sums are
-    built in place in arrays of work, without the terms that vanish
-    (eps = 0, f = 0).
+    built in place in arrays of work, without f where it vanishes.  The
+    entropy's eps log m and eps/m are prox_block's to add, in y = log m.
     """
     grad, hp, hpp = invert_hp(hamiltonian, wbar, m, sigma, work.sub("invert_hp"))[1:]
-    eps, f_zero = coupling.epsilon, coupling.f_zero
     term = work("term")
-    # grad = -H(p) + eps log m + V + f(m) + (m - mbar)/sigma
+    # grad = -H(p) + V + f(m) + (m - mbar)/sigma
     np.negative(grad, out=grad)
-    if eps > 0.0:
-        grad += np.multiply(np.log(m, out=term), eps, out=term)
     grad += V
-    if not f_zero:
+    if not coupling.f_zero:
         grad += coupling.f(m, out=term)
     grad += np.divide(np.subtract(m, mbar, out=term), sigma, out=term)
-    # curv = H_p^2/(sigma + m H_pp) + eps/m + f'(m) + 1/sigma
+    # curv = H_p^2/(sigma + m H_pp) + f'(m) + 1/sigma
     curv = np.multiply(hp, hp, out=work("curv"))
     curv /= np.add(np.multiply(m, hpp, out=term), sigma, out=term)
-    if eps > 0.0:
-        curv += np.divide(eps, m, out=term)
-    if not f_zero:
+    if not coupling.f_zero:
         curv += coupling.f_prime(m, out=term)
     curv += 1.0 / sigma
     return grad, curv, hp
@@ -181,18 +177,25 @@ def prox_block(
     vel = None  # H_p(p) at the last evaluation
 
     if coupling.interior:
-        # m holds exp(y) at the last evaluation
+        eps = coupling.epsilon
+
+        # m holds exp(y) at the last evaluation; the entropy adds eps y to
+        # the gradient and eps to the y-derivative, m (eps/m)
         def in_log(y):
             nonlocal vel
             g, curv, vel = _reduced_gradient(
                 np.exp(y, out=m), mbar, wbar, sigma, V, hamiltonian, coupling, work)
+            g += np.multiply(y, eps, out=work("term"))
             curv *= m
+            curv += eps
             return g, curv
 
         hi = np.log(m_hi, out=m_hi)
         start = (mbar, 1e-12) if m_start is None else (m_start, 1e-300)
         y = np.log(np.maximum(*start, out=work("y")), out=work("y"))
-        # exp underflows below -746, where the gradient is -inf
+        # the floor -746, below which exp underflows to 0, is assumed to
+        # bracket every root from below; a cell whose root lies lower (its
+        # g(-746) > 0, seen at eps = 1e-5) does not converge
         safeguarded_newton(in_log, np.minimum(y, hi, out=y), -746.0, hi, tol,
                            work.sub("newton"))
     else:

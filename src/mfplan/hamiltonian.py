@@ -8,10 +8,10 @@ at p = 0 and only the divergence-form (primal) solver accepts it.  At a
 singular origin (varpi = 0, q < 2) h_eval returns H_pp = +inf.
 
 A coupling is a nondecreasing f on (0, inf) of one form, f(m) = c*m^a
-(a > 0) or f(m) = c*log m (a = None), with c >= 0; the families power
-and log name the two, and zero is c = 0, where f and its derivatives are
-exact zeros.  It is combined with the entropy weight eps into
-f^eps(r) = f(r) + eps*log r, whose inverse phi is evaluated in y = log m.
+(a > 0) or f(m) = c*log m (a = None), with c >= 0; c = 0 is f = 0, where
+f and its derivatives are exact zeros.  It is combined with the entropy
+weight eps into f^eps(r) = f(r) + eps*log r, whose inverse phi is
+evaluated in y = log m.
 
 Every iterative scalar solve of the package (phi for a power coupling, the
 Legendre transform, the momentum dual p of the cell prox and the cell prox
@@ -19,7 +19,7 @@ itself) is one call of safeguarded_newton.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,18 +72,19 @@ class Scratch:
 def h_eval(H: HamiltonianSpec, p, work: Scratch | None = None):
     """(H, H_p, H_pp) at p, vectorized, with H_pp = +inf at a singular origin.
 
-    The three are written into arrays of work (a new Scratch if None).
+    The three are written into arrays of work (a new Scratch if None), but
+    for q = 2, whose H_pp is the scalar H.scale (it does not depend on p).
     """
     p = np.asarray(p, dtype=float)
     work = Scratch(p.shape) if work is None else work
-    val, hp, hpp = work("H"), work("H_p"), work("H_pp")
+    val, hp = work("H"), work("H_p")
     if H.q == 2.0:
         s = H.scale
         np.multiply(p, 0.5 * s, out=val)
         val *= p
         val += 0.5 * s * H.varpi**2
-        hpp.fill(s)
-        return val, np.multiply(p, s, out=hp), hpp
+        return val, np.multiply(p, s, out=hp), s
+    hpp = work("H_pp")
     s, q, w2 = 0.5 * H.scale, H.q, H.varpi**2
     r2 = np.multiply(p, p, out=work("r2"))
     r2 += w2
@@ -191,21 +192,17 @@ def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0,
     radial H the left side is increasing and odd in p, so the root lies
     between 0 and rhs/sigma, and between 0 and varpi + (2|rhs|/(m s q))^{1/(q-1)}
     with s = scale/2, because H_p(p) >= s q 2^{min(q-2,0)} |p|^{q-1} for
-    |p| >= varpi.  Closed form for q = 2, whose H_pp is returned as the
-    scalar H.scale (it does not depend on p); safeguarded Newton from that
-    edge otherwise, on a Scratch of its own inside work.  The arrays
-    returned are work's (a new Scratch if None).
+    |p| >= varpi.  Closed form for q = 2, whose H_pp is h_eval's scalar
+    H.scale; safeguarded Newton from that edge otherwise, on a Scratch of
+    its own inside work.  The arrays returned are work's (a new Scratch if
+    None).
     """
     rhs, m = np.asarray(rhs, dtype=float), np.asarray(m, dtype=float)
     work = Scratch(np.broadcast_shapes(rhs.shape, m.shape)) if work is None else work
     p = work("p")
-    if H.q == 2.0:  # h_eval's closed form, without the constant H_pp array
-        s = H.scale
-        np.divide(rhs, np.add(np.multiply(m, s, out=p), sigma, out=p), out=p)
-        val = np.multiply(p, 0.5 * s, out=work("H"))
-        val *= p
-        val += 0.5 * s * H.varpi**2
-        return p, val, np.multiply(p, s, out=work("H_p")), s
+    if H.q == 2.0:  # p = rhs / (m scale + sigma)
+        np.divide(rhs, np.add(np.multiply(m, H.scale, out=p), sigma, out=p), out=p)
+        return (p, *h_eval(H, p, work))
     a = np.abs(rhs, out=work("abs"))
     reach, tol = work("reach"), work("tol")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -260,43 +257,20 @@ def kinetic_density(H: HamiltonianSpec, m: np.ndarray, w: np.ndarray) -> np.ndar
     return np.where((m == 0.0) & (w != 0.0), np.inf, out)
 
 
-_F_FAMILIES = ("zero", "power", "log")
-
-
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Coupling f plus entropy weight eps; f^eps(r) = f(r) + eps*log r."""
+    """Coupling f plus entropy weight eps; f^eps(r) = f(r) + eps*log r, with
+    f = c*m^a for a > 0 and f = c*log m for a = None (c = 0: f = 0)."""
 
     epsilon: float = 1.0
-    f_family: str = "zero"
-    f_params: tuple[float, ...] = ()
-    # the family read once: f = c*m^a, or c*log m where a is None
-    c: float = field(init=False, repr=False, compare=False)
-    a: float | None = field(init=False, repr=False, compare=False)
+    c: float = 0.0
+    a: float | None = None
 
     def __post_init__(self):
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be >= 0")
-        if self.f_family not in _F_FAMILIES:
-            raise ValueError(f"unknown coupling family {self.f_family!r}")
-        params = tuple(float(x) for x in self.f_params)
-        c, a = 0.0, None
-        if self.f_family == "power":
-            if len(params) != 2:
-                raise ValueError("power coupling needs f_params = (c, a)")
-            c, a = params
-            if c < 0.0 or a <= 0.0:
-                raise ValueError("power coupling needs c >= 0, a > 0 (nondecreasing f)")
-        elif self.f_family == "log":
-            if len(params) != 1:
-                raise ValueError("log coupling needs f_params = (c,)")
-            (c,) = params
-            if c < 0.0:
-                raise ValueError("log coupling needs c >= 0")
-        elif params:
-            raise ValueError("zero coupling takes no parameters")
-        for name, value in (("f_params", params), ("c", c), ("a", a)):
-            object.__setattr__(self, name, value)
+        if self.c < 0.0 or (self.a is not None and self.a <= 0.0):
+            raise ValueError("need c >= 0 and a > 0 (nondecreasing f)")
 
     # -- the coupling f and its derivatives (vectorized; exact zeros if c = 0);
     # f and f_prime write into out, an array shaped like m, when it is given

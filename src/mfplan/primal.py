@@ -194,7 +194,7 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     """Minimize the discrete functional under the continuity constraint.
 
     Returns (PrimalState, PrimalLog).  Handles eps >= 0 and any radial
-    Hamiltonian family.  The node densities are the DR iterate, unclipped.
+    Hamiltonian.  The node densities are the DR iterate, unclipped.
     """
     cfg = cfg or PrimalConfig()
     g = spec.grid

@@ -56,7 +56,7 @@ def make_congestion_spec(n: int) -> ProblemSpec:
         gaussian_with_floor(0.8),
         {"family": "quadratic", "scale": 0.5},
         HamiltonianSpec(),
-        CouplingSpec(epsilon=0.25, f_family="power", f_params=(1.0, 1.0)),
+        CouplingSpec(epsilon=0.25, c=1.0, a=1.0),
     )
 
 
@@ -82,7 +82,7 @@ def make_power_spec(n: int) -> ProblemSpec:
         {"family": "bump", "center": 0.5, "width": 0.12, "floor": 0.2},
         {"family": "zero"},
         HamiltonianSpec(q=2.5, varpi=0.5, scale=2.0),
-        CouplingSpec(epsilon=0.3, f_family="power", f_params=(0.5, 2.0)),
+        CouplingSpec(epsilon=0.3, c=0.5, a=2.0),
     )
 
 

@@ -204,11 +204,11 @@ def _jacobian_configs():
     yield ("interval-neumann", HamiltonianSpec(),
            CouplingSpec(epsilon=0.5))
     yield ("torus", HamiltonianSpec(),
-           CouplingSpec(epsilon=0.3, f_family="power", f_params=(1.0, 1.0)))
+           CouplingSpec(epsilon=0.3, c=1.0, a=1.0))
     yield ("interval-neumann", HamiltonianSpec(scale=2.0),
-           CouplingSpec(epsilon=0.4, f_family="log", f_params=(0.3,)))
+           CouplingSpec(epsilon=0.4, c=0.3))
     yield ("torus", HamiltonianSpec(q=2.5, varpi=0.5, scale=2.0),
-           CouplingSpec(epsilon=0.5, f_family="power", f_params=(0.5, 2.0)))
+           CouplingSpec(epsilon=0.5, c=0.5, a=2.0))
     yield ("interval-neumann", HamiltonianSpec(q=2.0, varpi=1.0, scale=2.0),
            CouplingSpec(epsilon=0.6))
 
@@ -253,7 +253,7 @@ def test_criterion_9_invariant_suites(solves, report):
         state, _ = solves.primal(name, 64)
         for k in range(spec.grid.n_t + 1):
             ok = ok and abs(np.sum(state.m.values[k]) * spec.grid.dx - 1.0) <= 1e-8
-    c = CouplingSpec(epsilon=0.5, f_family="power", f_params=(1.0, 1.0))
+    c = CouplingSpec(epsilon=0.5, c=1.0, a=1.0)
     mvals = np.logspace(-6, 6, 200)
     ok = ok and float(np.max(np.abs(c.phi(c.f_eps(mvals)) - mvals)
                              / mvals)) <= 1e-10

@@ -204,11 +204,30 @@ INF, NAN = float("inf"), float("nan")
     ("problem.hamiltonian.q", 3.0, "problem.hamiltonian.q"),
     ("problem.hamiltonian.varpi", 0.7, "problem.hamiltonian.varpi"),
     ("problem.hamiltonian.family", "cubic", "problem.hamiltonian.family"),
+    # the coupling family table: zero (), power (c, a), log (c,)
+    ("problem.coupling.f_family", "cubic", "problem.coupling.f_family"),
+    ("problem.coupling", {"epsilon": 0.5, "f_family": "power", "f_params": [1.0]},
+     "problem.coupling.f_params"),
+    ("problem.coupling", {"epsilon": 0.5, "f_family": "zero", "f_params": [1.0]},
+     "problem.coupling.f_params"),
 ])
 def test_malformed_value_named(tmp_path, capsys, key, value, named):
     p = _edited(tmp_path, GIBBS_CONFIG.read_text(), key, value)
     assert main(["solve", "--config", str(p), "--dry-run"]) == EXIT_CONFIG
     assert f"config key {named!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coupling, line", [
+    ({"epsilon": 0.5}, "coupling: eps=0.5 f = 0\n"),
+    ({"epsilon": 0.5, "f_family": "power", "f_params": [1.0, 2.0]},
+     "coupling: eps=0.5 f = c m^a, c=1 a=2\n"),
+    ({"epsilon": 0.5, "f_family": "log", "f_params": [0.25]},
+     "coupling: eps=0.5 f = c log m, c=0.25\n"),
+])
+def test_dry_run_describes_coupling_form(tmp_path, capsys, coupling, line):
+    p = _edited(tmp_path, GIBBS_CONFIG.read_text(), "problem.coupling", coupling)
+    assert main(["solve", "--config", str(p), "--dry-run"]) == EXIT_OK
+    assert line in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -158,7 +158,7 @@ def test_residual_against_independent_loops(topology, rng):
     m0 = np.exp(rng.standard_normal(nx) * 0.2)
     m1 = np.exp(rng.standard_normal(nx) * 0.2)
     V = rng.standard_normal(nx) * 0.3
-    coupling = CouplingSpec(epsilon=0.4, f_family="power", f_params=(0.5, 1.0))
+    coupling = CouplingSpec(epsilon=0.4, c=0.5, a=1.0)
     spec = ProblemSpec(g, m0, m1, V, QUAD_H, coupling)
     nt, nn = g.n_t, g.n_xnodes
     dt, dx = g.dt, g.dx

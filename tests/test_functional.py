@@ -252,9 +252,9 @@ def test_prox_against_grid_oracle():
 
 @pytest.mark.parametrize("coupling", [
     C_ENT,
-    CouplingSpec(epsilon=0.5, f_family="power", f_params=(1.0, 1.0)),
-    CouplingSpec(epsilon=0.0, f_family="power", f_params=(0.5, 2.0)),
-    CouplingSpec(epsilon=0.2, f_family="log", f_params=(0.3,)),
+    CouplingSpec(epsilon=0.5, c=1.0, a=1.0),
+    CouplingSpec(epsilon=0.0, c=0.5, a=2.0),
+    CouplingSpec(epsilon=0.2, c=0.3),
 ])
 def test_prox_kkt_residual(coupling, rng):
     # stationarity of the (w-eliminated) objective at the returned point:
@@ -282,8 +282,8 @@ def test_prox_kkt_residual(coupling, rng):
 # eps = 0 corner branch
 WARM_COUPLINGS = [
     C_ENT,
-    CouplingSpec(epsilon=0.0, f_family="log", f_params=(0.3,)),
-    CouplingSpec(epsilon=0.0, f_family="power", f_params=(0.5, 2.0)),
+    CouplingSpec(epsilon=0.0, c=0.3),
+    CouplingSpec(epsilon=0.0, c=0.5, a=2.0),
 ]
 
 
@@ -350,6 +350,20 @@ def test_prox_warm_start_matches_cold(coupling, rng):
         for k in range(m.size):
             hp = _h_and_hp(H, (wbar[k] - w[k]) / sigma)[1]
             assert w[k] == pytest.approx(m[k] * hp, abs=1e-10), H
+
+
+def test_prox_subnormal_minimizer_converges(monkeypatch):
+    # this cell's minimizer, m = exp(-733.3), is subnormal, where eps/m
+    # overflows: the entropy's terms are taken in y = log m, eps y and eps
+    mbar, wbar, sigma, eps = -0.12262099095771481, 1.0115954988154898, 8.0, 1e-5
+    evals = _count_grad_evals(monkeypatch)
+    m, w = prox_cell(mbar, wbar, sigma, 0.0, QUAD_H, CouplingSpec(epsilon=eps))
+    assert len(evals) == 3
+    assert 0.0 < m < 1e-300 and w == pytest.approx(m * (wbar - w) / sigma, rel=1e-4)
+    # the gradient eps log m + (m - mbar)/sigma - H(p) vanishes; log m of a
+    # subnormal m has about five digits
+    p = (wbar - w) / sigma
+    assert abs(eps * math.log(m) + (m - mbar) / sigma - 0.5 * p * p) <= 1e-9
 
 
 def test_prox_firm_nonexpansive(rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -210,16 +211,16 @@ def test_phi_trivial_values():
     c = CouplingSpec(epsilon=1.0)
     assert c.phi(0.0) == pytest.approx(1.0, abs=1e-14)
     assert c.phi(2.0) == pytest.approx(math.e**2, rel=1e-13)
-    lin = CouplingSpec(epsilon=1.0, f_family="power", f_params=(1.0, 1.0))
+    lin = CouplingSpec(epsilon=1.0, c=1.0, a=1.0)
     assert lin.phi(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("coupling", [
     CouplingSpec(epsilon=1.0),
-    CouplingSpec(epsilon=0.5, f_family="power", f_params=(2.0, 1.0)),
-    CouplingSpec(epsilon=0.1, f_family="power", f_params=(0.5, 2.5)),
-    CouplingSpec(epsilon=1.0, f_family="log", f_params=(0.3,)),
-    CouplingSpec(epsilon=0.5, f_family="power", f_params=(1.0, 2.0)),
+    CouplingSpec(epsilon=0.5, c=2.0, a=1.0),
+    CouplingSpec(epsilon=0.1, c=0.5, a=2.5),
+    CouplingSpec(epsilon=1.0, c=0.3),
+    CouplingSpec(epsilon=0.5, c=1.0, a=2.0),
 ])
 def test_phi_round_trip(coupling):
     m = np.logspace(-8, 8, 200)
@@ -234,37 +235,41 @@ def test_phi_requires_positive_eps():
 
 
 def test_coupling_validation():
-    with pytest.raises(ValueError):
-        CouplingSpec(epsilon=-1.0)
-    with pytest.raises(ValueError):
-        CouplingSpec(f_family="power", f_params=(1.0, -1.0))
-    with pytest.raises(ValueError):
-        CouplingSpec(f_family="cubic")
+    for kwargs in ({"epsilon": -1.0}, {"c": -1.0}, {"c": -1.0, "a": 1.0},
+                   {"c": 1.0, "a": -1.0}, {"c": 1.0, "a": 0.0}, {"a": 0.0}):
+        with pytest.raises(ValueError):
+            CouplingSpec(**kwargs)
+
+
+def test_coupling_fields_are_the_form():
+    assert [f.name for f in dataclasses.fields(CouplingSpec)] == ["epsilon", "c", "a"]
+    assert CouplingSpec() == CouplingSpec(1.0, 0.0, None)
+    with pytest.raises(TypeError):  # the family names are config syntax only
+        CouplingSpec(f_family="power", f_params=(1.0, 1.0))
 
 
 def test_antiderivative_anchor():
-    for c in (CouplingSpec(f_family="power", f_params=(2.0, 1.5)),
-              CouplingSpec(f_family="log", f_params=(0.7,)),
+    for c in (CouplingSpec(c=2.0, a=1.5),
+              CouplingSpec(c=0.7),
               CouplingSpec()):
         assert float(c.F(1.0)) == 0.0
 
 
-@pytest.mark.parametrize("family, params", [
-    ("zero", ()), ("power", (0.0, 0.5)), ("power", (0.0, 1.0)), ("log", (0.0,))])
-def test_zero_coupling_is_exact_zero(family, params):
-    # c = 0 is f = 0 in every family, down to m = 0, where m^(a-1) and log m
+@pytest.mark.parametrize("a", [None, 0.5, 1.0])
+def test_zero_coupling_is_exact_zero(a):
+    # c = 0 is f = 0 for every a, down to m = 0, where m^(a-1) and log m
     # are not finite
-    c = CouplingSpec(epsilon=0.0, f_family=family, f_params=params)
+    c = CouplingSpec(epsilon=0.0, c=0.0, a=a)
     m = np.array([0.0, 1e-320, 1.0])
     for fn in (c.f, c.f_prime, c.f_second, c.F):
         out = fn(m)
         assert out.dtype == float and np.all(out == 0.0), (fn.__name__, out)
     assert c.f_zero and c.c0_r0 is None and not c.interior
-    assert CouplingSpec(epsilon=0.0, f_family="log", f_params=(0.5,)).interior
+    assert CouplingSpec(epsilon=0.0, c=0.5).interior
 
 
 def test_antiderivative_matches_f():
-    c = CouplingSpec(f_family="power", f_params=(2.0, 1.5))
+    c = CouplingSpec(c=2.0, a=1.5)
     m = np.linspace(0.2, 5.0, 50)
     h = 1e-6
     fd = (c.F(m + h) - c.F(m - h)) / (2 * h)
@@ -272,11 +277,11 @@ def test_antiderivative_matches_f():
 
 
 def test_c0_r0_hypothesis():
-    assert CouplingSpec(f_family="power", f_params=(1.0, 1.0)).c0_r0 == (1.0, 1.0)
-    assert CouplingSpec(f_family="log", f_params=(0.5,)).c0_r0 == (0.5, 1.0)
+    assert CouplingSpec(c=1.0, a=1.0).c0_r0 == (1.0, 1.0)
+    assert CouplingSpec(c=0.5).c0_r0 == (0.5, 1.0)
     assert CouplingSpec().c0_r0 is None
     # the stored pair satisfies f'(r) >= c0/r for r >= r0
-    c = CouplingSpec(f_family="power", f_params=(0.8, 2.0))
+    c = CouplingSpec(c=0.8, a=2.0)
     c0, r0 = c.c0_r0
     r = np.linspace(r0, 100.0, 500)
     assert np.all(c.f_prime(r) >= c0 / r - 1e-12)
@@ -286,7 +291,7 @@ def test_c0_r0_hypothesis():
 @given(r=st.floats(min_value=-30.0, max_value=30.0),
        eps=st.floats(min_value=0.05, max_value=5.0))
 def test_phi_inverse_property(r, eps):
-    c = CouplingSpec(epsilon=eps, f_family="power", f_params=(1.0, 1.0))
+    c = CouplingSpec(epsilon=eps, c=1.0, a=1.0)
     m = c.phi(r)
     assert m > 0
     assert abs(c.f_eps(m) - r) <= 1e-12 * max(1.0, abs(r))
