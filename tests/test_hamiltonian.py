@@ -255,11 +255,17 @@ def test_antiderivative_anchor():
         assert float(c.F(1.0)) == 0.0
 
 
-@pytest.mark.parametrize("a", [None, 0.5, 1.0])
-def test_zero_coupling_is_exact_zero(a):
+# the ids name the form of f: the default (zero), c m^a (power) and
+# c log m (log, a = None)
+@pytest.mark.parametrize("form", [
+    pytest.param({}, id="zero-params0"),
+    pytest.param({"c": 0.0, "a": 0.5}, id="power-params1"),
+    pytest.param({"c": 0.0, "a": 1.0}, id="power-params2"),
+    pytest.param({"c": 0.0, "a": None}, id="log-params3")])
+def test_zero_coupling_is_exact_zero(form):
     # c = 0 is f = 0 for every a, down to m = 0, where m^(a-1) and log m
     # are not finite
-    c = CouplingSpec(epsilon=0.0, c=0.0, a=a)
+    c = CouplingSpec(epsilon=0.0, **form)
     m = np.array([0.0, 1e-320, 1.0])
     for fn in (c.f, c.f_prime, c.f_second, c.F):
         out = fn(m)
