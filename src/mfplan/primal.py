@@ -20,14 +20,29 @@ the primal gap y - z (z the graph projection) and the subgradient sum
 the output continuity-feasible at every step; the functional value,
 non-monotone under splitting, is evaluated once, at the last prox output.
 
+The shadow update s <- T = s + f, f = THETA (z - y), is accelerated by
+type-II Anderson acceleration (_Anderson): every iteration stores the
+differences of consecutive f and T, the last ANDERSON_DEPTH of them, and
+every ANDERSON_EVERY-th iteration takes s <- T - dT gamma, gamma the
+regularized least-squares fit of f by dF.  A change of sigma changes the
+map T, so it clears the history; so does a gamma that is not finite, and
+the plain step stands.  The stop and the output do not involve s.
+
+The cell prox starts cold at the first iteration, at the last output
+after a change of sigma, and otherwise at functional.prox_predict: the
+last output moved to first order by the change of the prox inputs since
+the last call, from the derivatives at the prox's last Newton evaluation.
+So an Anderson jump of the shadow costs the prox few extra Newton
+evaluations.
+
 An iteration allocates no cell-sized array but the two LU solve outputs of
 the graph projection.  It writes into arrays that one solve_primal call
 makes and frees when it returns: the four iterates (the projections work
 in the cell views of p and z before those are written), the prox's
-Scratch (the prox writes its m and w into the cell views of y), and the
-warm start's copy of the last output and its extrapolation.  None is kept
-across calls; the cached per-grid operators hold only their factors and
-two padded arrays.
+Scratch (the prox writes its m and w into the cell views of y), the last
+prox inputs and the next start, and Anderson's 2 ANDERSON_DEPTH + 2
+vectors of all the unknowns.  None is kept across calls; the cached
+per-grid operators hold only their factors and two padded arrays.
 """
 from __future__ import annotations
 
@@ -38,7 +53,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .functional import PrimalState, continuity_residual, integrand, prox_block
+from .functional import (
+    PrimalState,
+    continuity_residual,
+    integrand,
+    prox_block,
+    prox_predict,
+)
 from .grids import DensityField, MomentumField, ProblemSpec, SpaceTimeGrid
 from .hamiltonian import Scratch
 
@@ -47,6 +68,8 @@ SIGMA = 1.0  # initial prox step
 SIGMA_MIN, SIGMA_MAX = 2.0**-10, 2.0**10  # powers of two: rescaling is exact
 BALANCE_EVERY = 20  # DR iterations between step adaptations
 THETA = 1.8  # over-relaxation, in [1, 2)
+ANDERSON_DEPTH = 5  # differences in the Anderson history
+ANDERSON_EVERY = 5  # DR iterations between Anderson steps
 MAX_ITERS = 50000  # DR iterations before the solve is reported unconverged
 
 
@@ -67,6 +90,7 @@ class PrimalLog:
     feasibility: float = float("nan")
     fp_residual: float = float("nan")
     sigma: float = SIGMA  # the prox step at the last iteration
+    anderson_steps: int = 0  # accelerated shadow updates taken
     reason: str = ""  # why the iteration stopped unconverged
 
 
@@ -180,6 +204,67 @@ class _Operators:
 _operators = functools.lru_cache(maxsize=8)(_Operators)  # one set per grid
 
 
+class _Anderson:
+    """Type-II Anderson acceleration of the fixed-point map s -> T(s) =
+    s + f(s) (Walker & Ni, SIAM J. Numer. Anal. 49 (2011); Fu, Zhang & Boyd,
+    SIAM J. Sci. Comput. 42 (2020)).
+
+    push(f, T) stores the differences dF, dT of consecutive increments f and
+    plain updates T, in ring buffers that keep the last depth of each, and
+    the row of the Gram matrix dF dF^T that the new difference changes (one
+    matrix-vector product).  extrapolate(s) takes s <- T - gamma dT with
+    gamma solving (dF dF^T + 1e-10 tr/k I) gamma = dF f over the k stored
+    differences.  All the buffers are made at construction; no call
+    allocates a vector of the map's size.
+    """
+
+    def __init__(self, depth: int, n: int):
+        self.depth = depth
+        ring = np.empty((2 * depth + 2, n))  # dF rows, dT rows, the last f and T
+        self.dF, self.dT = ring[:depth], ring[depth:2 * depth]
+        self.f, self.T = ring[2 * depth:]
+        self.gram = np.empty((depth, depth))
+        self.reset()
+
+    def reset(self):
+        """Forget the history, the last f and T with it (the map changed)."""
+        self.stored, self.primed = 0, False
+
+    def push(self, f, T):
+        if not self.depth:
+            return
+        if self.primed:
+            j = self.stored % self.depth
+            np.subtract(f, self.f, out=self.dF[j])
+            np.subtract(T, self.T, out=self.dT[j])
+            self.stored += 1
+            k = min(self.stored, self.depth)
+            np.matmul(self.dF[:k], self.dF[j], out=self.gram[j, :k])
+            self.gram[:k, j] = self.gram[j, :k]
+        np.copyto(self.f, f)
+        np.copyto(self.T, T)
+        self.primed = True
+
+    def extrapolate(self, s, tmp) -> bool:
+        """s (the last T) <- T - gamma dT, using tmp, a vector of s's size;
+        returns whether it did.  A gamma that is not finite clears the
+        history and leaves s."""
+        k = min(self.stored, self.depth)
+        if not k:
+            return False
+        gram = self.gram[:k, :k]
+        gamma = None
+        with np.errstate(all="ignore"):
+            reg = 1e-10 * np.trace(gram) / k
+            if reg > 0.0:  # else every stored dF is 0 (or not finite)
+                gamma = np.linalg.solve(gram + reg * np.eye(k), self.dF[:k] @ self.f)
+        if gamma is None or not np.isfinite(gamma).all():
+            self.stored = 0
+            return False
+        s -= np.matmul(gamma, self.dT[:k], out=tmp)
+        return True
+
+
 def _data(spec: ProblemSpec):
     """Continuity right-hand side d and averaging offset b, (n_t, n_x) each:
     the parts of C and A on the fixed end rows m0, m1 of the density."""
@@ -218,32 +303,31 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     # prox_work's arrays, made at its first call
     prox_work = Scratch(ops.shapes[2], m=y_[2], w=y_[3])
     V = np.broadcast_to(spec.V, ops.shapes[2]).copy()  # adds without a buffer
-    m_prev, m_next = np.empty((2, *ops.shapes[2]))
-    positive = np.empty(ops.shapes[2], dtype=bool)
-    # the first prox starts cold, the next one (and the first after a step
-    # change) at the last output m_prev, later ones at the log-linear
-    # extrapolation m_next = m^2 / m_prev of the last two outputs
-    warm = 0  # outputs the start uses: none, the last or the last two
+    # the last prox inputs, then their increments, and the next prox's start
+    mbar, wbar, start = np.empty((3, *ops.shapes[2]))
+    anderson = _Anderson(ANDERSON_DEPTH, s.size)
+    # the first prox starts cold, the first after a step change at the last
+    # output, every other one at prox_predict's first-order prediction from
+    # the last output and the change of the inputs
+    warm = 0  # the start: none, the last output or the prediction
     for it in range(1, MAX_ITERS + 1):
         ops.project(*s_[:2], d, out=y_[:2], scratch=p_[2:])
-        mY = y_[2]
         if warm == 2:
-            # m^2 / m_prev where both are > 0 (the second test runs only
-            # where the first holds), m elsewhere
-            np.greater(mY, 0.0, out=positive)
-            np.greater(m_prev, 0.0, out=positive, where=positive)
-            np.copyto(m_next, mY)
-            np.multiply(m_next, mY, out=m_next, where=positive)
-            np.divide(m_next, m_prev, out=m_next, where=positive)
-        if warm:
-            np.copyto(m_prev, mY)
+            np.subtract(s_[2], mbar, out=mbar)
+            np.subtract(s_[3], wbar, out=wbar)
+            prox_predict(mbar, wbar, sigma, spec.hamiltonian, spec.coupling,
+                         prox_work, out=start)
+        elif warm == 1:
+            np.copyto(start, y_[2])
+        np.copyto(mbar, s_[2])
+        np.copyto(wbar, s_[3])
         # the uniform dt*dx weight does not move the minimizer, so the
         # iteration minimizes the unweighted cell sum (better-scaled prox)
         # (no copy: the outputs are already y's views)
         y_[2][...], y_[3][...] = prox_block(
             s_[2], s_[3], sigma, V, spec.hamiltonian, spec.coupling,
-            (None, m_prev, m_next)[warm], prox_work)
-        warm = min(warm + 1, 2)
+            start if warm else None, prox_work)
+        warm = 2
 
         if it % BALANCE_EVERY == 0:
             # z, the last increment, is spent: it holds s - y
@@ -260,6 +344,7 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
                 su *= step / sigma
                 np.add(y, su, out=s)
                 sigma, warm = step, 1
+                anderson.reset()  # the history belongs to the old step
 
         np.multiply(y, 2.0, out=p)
         p -= s
@@ -267,8 +352,6 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
         z -= y
         # max |v| as max(max v, -min v), without a temporary
         fp = float(max(z.max(), -z.min()) / max(1.0, y.max(), -y.min()))
-        z *= THETA
-        s += z
         log.iters = it
         log.fp_residual = fp
         # y - z is the primal gap and (y - z)/sigma the subgradient sum
@@ -278,12 +361,17 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
         if not np.isfinite(fp):
             log.reason = f"non-finite fixed-point residual at iteration {it}"
             break
+        z *= THETA
+        s += z  # the plain step T = s + f with f = z
+        anderson.push(z, s)
+        if it % ANDERSON_EVERY == 0:
+            log.anderson_steps += anderson.extrapolate(s, tmp=z)
     else:
         log.reason = f"max_iters ({MAX_ITERS}) reached"
     log.sigma = sigma
-    # free the prox's buffers before the returned fields are made, so that
-    # those reuse the memory instead of pinning it below them
-    del prox_work, V, m_prev, m_next, positive
+    # free the prox's and Anderson's buffers before the returned fields are
+    # made, so that those reuse the memory instead of pinning it below them
+    del prox_work, V, mbar, wbar, start, anderson
 
     m = np.concatenate([spec.m0[None], y_[0], spec.m1[None]])
     w = np.zeros((g.n_t, g.n_faces))

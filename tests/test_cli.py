@@ -75,6 +75,7 @@ def test_solve_writes_outputs(gibbs_cfg, tmp_path):
     assert header == "field,t_index,x_index,value"
     log = json.loads((out / "log.json").read_text())
     assert log["primal"]["converged"]
+    assert log["primal"]["anderson_steps"] > 0
     assert log["dual"]["stages"][-1]["residual"] <= NEWTON_TOL
     assert set(log["dual"]) == {"stages"}
     report = json.loads((out / "report.json").read_text())

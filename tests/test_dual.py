@@ -494,3 +494,21 @@ def test_chord_refactors_when_line_search_fails(monkeypatch):
         np.zeros((g.n_t + 1) * g.n_xnodes + 1), spec, chord=True)
     assert resid <= NEWTON_TOL
     assert 1 < factors < iters
+
+
+def test_chord_factor_fill_reducing_order(monkeypatch):
+    # the finest chord factor of congestion-64 keeps at most 0.65 of the L + U
+    # entries of splu's default order (COLAMD); measured 0.59
+    factors = []
+    splu_default = dual.spla.splu
+
+    def recorded(a, **kwargs):
+        lu = splu_default(a, **kwargs)
+        factors.append((a, lu))
+        return lu
+
+    monkeypatch.setattr(dual.spla, "splu", recorded)
+    solve_dual(make_congestion_spec(64))
+    a, lu = max(factors, key=lambda f: f[0].shape[0])
+    colamd = splu(a)
+    assert lu.L.nnz + lu.U.nnz <= 0.65 * (colamd.L.nnz + colamd.U.nnz)

@@ -14,11 +14,13 @@ from mfplan.functional import (
     integrand,
     prox_block,
     prox_cell,
+    prox_predict,
 )
 from mfplan.grids import DensityField, MomentumField, ProblemSpec, SpaceTimeGrid
 from mfplan.hamiltonian import (
     CouplingSpec,
     HamiltonianSpec,
+    Scratch,
     kinetic_density,
     legendre_L,
 )
@@ -364,6 +366,35 @@ def test_prox_subnormal_minimizer_converges(monkeypatch):
     # subnormal m has about five digits
     p = (wbar - w) / sigma
     assert abs(eps * math.log(m) + (m - mbar) / sigma - 0.5 * p * p) <= 1e-9
+
+
+def test_prox_floor_brackets_small_eps_root():
+    # the root of this cell lies near y = -14,000 (m underflows to 0), far
+    # below the floor -746 of exp's underflow that bounded the bracket
+    m, w = prox_block(np.array([-0.1236]), np.array([1.0094]), 8.0, np.zeros(1),
+                      QUAD_H, CouplingSpec(epsilon=1e-5))
+    assert m[0] == 0.0 and w[0] == 0.0
+
+
+@pytest.mark.parametrize("H", [QUAD_H, HamiltonianSpec(q=2.5, varpi=0.5, scale=2.0)],
+                         ids=["q2", "q2.5"])
+@pytest.mark.parametrize("coupling", [C_ENT, CouplingSpec(epsilon=0.0, c=0.5, a=2.0)],
+                         ids=["log-branch", "m-branch"])
+def test_prox_predict_is_first_order(H, coupling, rng):
+    # halving the change of the inputs quarters the prediction's error
+    sigma, n = 0.7, 60
+    # mbar/sigma > max V: no cell at the corner m = 0
+    mbar, wbar, V = rng.uniform(0.5, 3.0, n), rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 0.5, n)
+    dmbar, dwbar = rng.standard_normal((2, n))
+    work = Scratch(mbar.shape)
+    prox_block(mbar, wbar, sigma, V, H, coupling, None, work)
+    errors = []
+    for delta in (1e-2, 5e-3):
+        want, _ = prox_block(mbar + delta * dmbar, wbar + delta * dwbar, sigma, V, H, coupling)
+        got = prox_predict(delta * dmbar, delta * dwbar, sigma, H, coupling, work,
+                           np.empty(n))
+        errors.append(np.max(np.abs(got - want)))
+    assert 3.5 <= errors[0] / errors[1] <= 4.5, errors
 
 
 def test_prox_firm_nonexpansive(rng):

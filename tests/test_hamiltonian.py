@@ -241,6 +241,16 @@ def test_coupling_validation():
             CouplingSpec(**kwargs)
 
 
+@pytest.mark.parametrize("spec,kwargs", [
+    (HamiltonianSpec, {"q": math.nan}), (HamiltonianSpec, {"varpi": math.nan}),
+    (HamiltonianSpec, {"scale": math.nan}), (CouplingSpec, {"epsilon": math.nan}),
+    (CouplingSpec, {"c": math.nan}), (CouplingSpec, {"c": 1.0, "a": math.nan})],
+    ids=["q", "varpi", "scale", "epsilon", "c", "a"])
+def test_nan_parameters_refused(spec, kwargs):
+    with pytest.raises(ValueError):
+        spec(**kwargs)
+
+
 def test_coupling_fields_are_the_form():
     assert [f.name for f in dataclasses.fields(CouplingSpec)] == ["epsilon", "c", "a"]
     assert CouplingSpec() == CouplingSpec(1.0, 0.0, None)
