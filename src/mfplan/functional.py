@@ -24,6 +24,7 @@ from .hamiltonian import (
     CouplingSpec,
     HamiltonianSpec,
     Scratch,
+    h_eval,
     invert_hp,
     kinetic_density,
     safeguarded_newton,
@@ -156,8 +157,8 @@ def prox_block(
     work = Scratch(mbar.shape) if work is None else work
     m, w = work("m"), work("w")  # w is scratch until the end
     # H(wbar/sigma) >= H(p), kept apart from the gradients' invert_hp arrays
-    top = work("top")
-    np.copyto(top, invert_hp(hamiltonian, wbar, 0.0, sigma, work.sub("invert_hp"))[1])
+    top = np.divide(wbar, sigma, out=work("top"))
+    np.copyto(top, h_eval(hamiltonian, top, work.sub("invert_hp"))[0])
     # tol = 1e-11 max(1, |V| + |mbar|/sigma + top)
     tol = np.abs(V, out=work("tol"))
     tol += np.divide(np.abs(mbar, out=w), sigma, out=w)

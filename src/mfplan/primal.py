@@ -9,16 +9,18 @@ interior densities and free momenta, and the cell values V = (M, W):
 * G2(U, V) = indicator{V = A U + b}
   — projection onto the graph of the averaging A (one cached LU per axis).
 
-The step sigma starts at SIGMA.  Every BALANCE_EVERY iterations it is
-doubled if ||y|| >= 2 sigma ||u|| and halved if 2 ||y|| <= sigma ||u||,
-within [SIGMA_MIN, SIGMA_MAX], where y is the prox output and
-u = (s - y)/sigma the multiplier of the shadow s; the shadow is rescaled
-so that y and u stay.  The over-relaxation THETA and the iteration cap
-MAX_ITERS are fixed; the one setting, PrimalConfig.tol_kkt, bounds both
-the primal gap y - z (z the graph projection) and the subgradient sum
-(y - z)/sigma, so the stop does not depend on sigma.  The iteration keeps
-the output continuity-feasible at every step; the functional value,
-non-monotone under splitting, is evaluated once, at the last prox output.
+The step sigma starts at SIGMA.  Every BALANCE_EVERY iterations it is set
+to the power of two closest (in log2) to the balance ratio
+sigma ||y|| / ||s - y|| = ||y|| / ||u||, within [SIGMA_MIN, SIGMA_MAX],
+where y is the prox output and u = (s - y)/sigma the multiplier of the
+shadow s, so that ||y|| and sigma ||u|| balance; a ratio that is 0 or not
+finite leaves sigma.  The shadow is rescaled so that y and u stay.  The
+over-relaxation THETA and the iteration cap MAX_ITERS are fixed; the one
+setting, PrimalConfig.tol_kkt, bounds both the primal gap y - z (z the
+graph projection) and the subgradient sum (y - z)/sigma, so the stop does
+not depend on sigma.  The iteration keeps the output continuity-feasible
+at every step; the functional value, non-monotone under splitting, is
+evaluated once, at the last prox output.
 
 The shadow update s <- T = s + f, f = THETA (z - y), is accelerated by
 type-II Anderson acceleration (_Anderson): every iteration stores the
@@ -28,12 +30,12 @@ regularized least-squares fit of f by dF.  A change of sigma changes the
 map T, so it clears the history; so does a gamma that is not finite, and
 the plain step stands.  The stop and the output do not involve s.
 
-The cell prox starts cold at the first iteration, at the last output
-after a change of sigma, and otherwise at functional.prox_predict: the
-last output moved to first order by the change of the prox inputs since
-the last call, from the derivatives at the prox's last Newton evaluation.
-So an Anderson jump of the shadow costs the prox few extra Newton
-evaluations.
+The cell prox starts cold at the first iteration; every prox after the
+first, the first after a change of sigma included, starts at
+functional.prox_predict: the last output moved to first order by the
+change of the prox inputs since the last call, from the derivatives at the
+prox's last Newton evaluation.  So an Anderson jump of the shadow costs
+the prox few extra Newton evaluations.
 
 An iteration allocates no cell-sized array but the two LU solve outputs of
 the graph projection.  It writes into arrays that one solve_primal call
@@ -210,12 +212,11 @@ class _Anderson:
     SIAM J. Sci. Comput. 42 (2020)).
 
     push(f, T) stores the differences dF, dT of consecutive increments f and
-    plain updates T, in ring buffers that keep the last depth of each, and
-    the row of the Gram matrix dF dF^T that the new difference changes (one
-    matrix-vector product).  extrapolate(s) takes s <- T - gamma dT with
-    gamma solving (dF dF^T + 1e-10 tr/k I) gamma = dF f over the k stored
-    differences.  All the buffers are made at construction; no call
-    allocates a vector of the map's size.
+    plain updates T, in ring buffers that keep the last depth of each.
+    extrapolate(s) takes s <- T - gamma dT with gamma solving
+    (dF dF^T + 1e-10 tr/k I) gamma = dF f over the k stored differences,
+    the k x k Gram matrix formed there.  All the buffers are made at
+    construction; no call allocates a vector of the map's size.
     """
 
     def __init__(self, depth: int, n: int):
@@ -223,7 +224,6 @@ class _Anderson:
         ring = np.empty((2 * depth + 2, n))  # dF rows, dT rows, the last f and T
         self.dF, self.dT = ring[:depth], ring[depth:2 * depth]
         self.f, self.T = ring[2 * depth:]
-        self.gram = np.empty((depth, depth))
         self.reset()
 
     def reset(self):
@@ -238,9 +238,6 @@ class _Anderson:
             np.subtract(f, self.f, out=self.dF[j])
             np.subtract(T, self.T, out=self.dT[j])
             self.stored += 1
-            k = min(self.stored, self.depth)
-            np.matmul(self.dF[:k], self.dF[j], out=self.gram[j, :k])
-            self.gram[:k, j] = self.gram[j, :k]
         np.copyto(self.f, f)
         np.copyto(self.T, T)
         self.primed = True
@@ -252,12 +249,13 @@ class _Anderson:
         k = min(self.stored, self.depth)
         if not k:
             return False
-        gram = self.gram[:k, :k]
+        dF = self.dF[:k]
         gamma = None
         with np.errstate(all="ignore"):
+            gram = dF @ dF.T
             reg = 1e-10 * np.trace(gram) / k
             if reg > 0.0:  # else every stored dF is 0 (or not finite)
-                gamma = np.linalg.solve(gram + reg * np.eye(k), self.dF[:k] @ self.f)
+                gamma = np.linalg.solve(gram + reg * np.eye(k), dF @ self.f)
         if gamma is None or not np.isfinite(gamma).all():
             self.stored = 0
             return False
@@ -306,19 +304,13 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     # the last prox inputs, then their increments, and the next prox's start
     mbar, wbar, start = np.empty((3, *ops.shapes[2]))
     anderson = _Anderson(ANDERSON_DEPTH, s.size)
-    # the first prox starts cold, the first after a step change at the last
-    # output, every other one at prox_predict's first-order prediction from
-    # the last output and the change of the inputs
-    warm = 0  # the start: none, the last output or the prediction
     for it in range(1, MAX_ITERS + 1):
         ops.project(*s_[:2], d, out=y_[:2], scratch=p_[2:])
-        if warm == 2:
+        if it > 1:  # the first prox starts cold, every other at the prediction
             np.subtract(s_[2], mbar, out=mbar)
             np.subtract(s_[3], wbar, out=wbar)
             prox_predict(mbar, wbar, sigma, spec.hamiltonian, spec.coupling,
                          prox_work, out=start)
-        elif warm == 1:
-            np.copyto(start, y_[2])
         np.copyto(mbar, s_[2])
         np.copyto(wbar, s_[3])
         # the uniform dt*dx weight does not move the minimizer, so the
@@ -326,24 +318,21 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
         # (no copy: the outputs are already y's views)
         y_[2][...], y_[3][...] = prox_block(
             s_[2], s_[3], sigma, V, spec.hamiltonian, spec.coupling,
-            start if warm else None, prox_work)
-        warm = 2
+            start if it > 1 else None, prox_work)
 
         if it % BALANCE_EVERY == 0:
-            # z, the last increment, is spent: it holds s - y
+            # z, the last increment, is spent: it holds s - y = sigma u.  The
+            # step that balances ||y|| and step ||u||, to the closest power of 2
             su = np.subtract(s, y, out=z)
-            y_norm, su_norm = np.linalg.norm(y), np.linalg.norm(su)
-            if y_norm >= 2.0 * su_norm:  # ||y|| >= 2 sigma ||u||
-                step = min(2.0 * sigma, SIGMA_MAX)
-            elif 2.0 * y_norm <= su_norm:
-                step = max(0.5 * sigma, SIGMA_MIN)
-            else:
-                step = sigma
-            if step != sigma:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ratio = sigma * np.linalg.norm(y) / np.linalg.norm(su)
+                step = float(np.clip(np.exp2(np.round(np.log2(ratio))),
+                                     SIGMA_MIN, SIGMA_MAX))
+            if 0.0 < ratio < np.inf and step != sigma:  # else sigma stays
                 # y = prox_step(s') for s' = y + step*u: y and u stay
                 su *= step / sigma
                 np.add(y, su, out=s)
-                sigma, warm = step, 1
+                sigma = step
                 anderson.reset()  # the history belongs to the old step
 
         np.multiply(y, 2.0, out=p)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from mfplan.dual import NEWTON_TOL
+from mfplan.dual import NEWTON_TOL, solve_dual
 from mfplan.estimates import (
     check_displacement_convexity,
     check_energy_identity,
@@ -20,8 +20,9 @@ from mfplan.estimates import (
 )
 from mfplan.grids import ProblemSpec, SpaceTimeGrid
 from mfplan.hamiltonian import CouplingSpec, HamiltonianSpec
+from mfplan.primal import PrimalConfig, solve_primal
 
-from conftest import make_bump_spec
+from conftest import make_bump_spec, make_congestion_spec
 
 
 @pytest.fixture()
@@ -102,6 +103,40 @@ def test_criterion_2b_power_hamiltonian_consistency(solves, report):
     assert ok
 
 
+def test_criterion_2c_second_order_agreement(report):
+    # the staggered primal and the node-based dual are independent
+    # second-order discretizations of one smooth solution: their distance
+    # max_t sum |m_primal - m_dual| dx falls at order near 2 in h (measured
+    # 1.71-1.74 on 32 -> 64 and 1.87-1.90 on 64 -> 128), with the primal's
+    # solver error (tol_kkt = 1e-9) far below it
+    instances = {
+        "congestion": make_congestion_spec,
+        "bump-interval": lambda n: make_bump_spec(n, topology="interval-neumann"),
+        "bump-torus": make_bump_spec,
+    }
+    details = []
+    ok = True
+    for name, make_spec in instances.items():
+        errs = []
+        for n in (32, 64, 128):
+            spec = make_spec(n)
+            state, plog = solve_primal(spec, PrimalConfig(tol_kkt=1e-9))
+            _, m, dlog = solve_dual(spec)
+            assert plog.converged and dlog.stages[-1]["residual"] <= NEWTON_TOL
+            err = float(np.max(np.sum(np.abs(state.m.values - m.values), axis=1))
+                        * spec.grid.dx)
+            ok = ok and err <= 5.0 * (spec.grid.dt + spec.grid.dx)
+            errs.append(err)
+        orders = np.log2(np.divide(errs[:-1], errs[1:]))
+        ok = ok and orders[0] >= 1.6 and orders[1] >= 1.75
+        details.append(f"{name}: {errs[0]:.2e}->{errs[1]:.2e}->{errs[2]:.2e} "
+                       f"orders {orders[0]:.2f}, {orders[1]:.2f}")
+    report("criterion-2c second-order-agreement", ok,
+            "max_t L1(m_primal, m_dual) 32->64->128 within 5(dt+dx), orders "
+            ">= 1.6, >= 1.75 [" + "; ".join(details) + "]")
+    assert ok
+
+
 def test_criterion_3_eps_sweep(report):
     spec = make_bump_spec(64, eps=0.4)
     t0 = time.perf_counter()
@@ -113,6 +148,23 @@ def test_criterion_3_eps_sweep(report):
             f"errors={['%.4f' % e for e in rep.errors]} monotone={rep.passed} "
             f"e(0)={rep.errors[-1]:.4f} (<= {3.0 * spec.grid.dx:.4f}) "
             f"t={elapsed:.0f}s (<=300s)")
+    assert ok
+
+
+def test_criterion_3b_eps_rate(report):
+    # e(eps) tends to first order in eps as eps -> 0 (measured order 0.90
+    # and 0.88 on the last pair), with one rate on both meshes: e(0.00625)
+    # is 0.0300 at n = 64 and 0.0309 at n = 128
+    eps_list = [0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]
+    reps = {n: eps_sweep(make_bump_spec(n), eps_list) for n in (64, 128)}
+    orders = {n: float(np.log2(r.errors[-2] / r.errors[-1])) for n, r in reps.items()}
+    spread = abs(reps[64].errors[-1] - reps[128].errors[-1])
+    ok = (all(r.passed for r in reps.values()) and spread <= 2e-3
+          and all(0.8 <= o <= 1.2 for o in orders.values()))
+    report("criterion-3b eps-rate", ok,
+            f"order of e(0.0125)/e(0.00625) in [0.8, 1.2]: n=64 {orders[64]:.2f}, "
+            f"n=128 {orders[128]:.2f}; e(0.00625) {reps[64].errors[-1]:.4f} vs "
+            f"{reps[128].errors[-1]:.4f} (within 2e-3)")
     assert ok
 
 

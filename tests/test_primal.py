@@ -375,10 +375,10 @@ def test_value_evaluated_once(monkeypatch):
 
 
 def test_prox_warm_started_from_previous_iterate(monkeypatch):
-    # from iteration 2 on, the cell prox starts at the previous output or
-    # its first-order prediction: far fewer Newton evaluations per call than
-    # cold (10 at 128^2), and the same DR iterations as a run whose every
-    # prox starts cold
+    # from iteration 2 on, the cell prox starts at the first-order
+    # prediction from its previous output: far fewer Newton evaluations per
+    # call than cold (10 at 128^2), and the same DR iterations as a run
+    # whose every prox starts cold
     spec = make_congestion_spec(32)
     prox_block, reduced_gradient = primal.prox_block, functional._reduced_gradient
     evals, calls = [], []
@@ -413,7 +413,7 @@ def _anderson_off(monkeypatch):
 
 
 @pytest.mark.parametrize("make_spec,sigma,step", [
-    (make_congestion_spec, 1.0, 0.5), (make_gibbs_spec, 0.25, 0.5)])
+    (make_congestion_spec, 1.0, 0.5), (make_gibbs_spec, 0.25, 1.0)])
 def test_step_change_keeps_fixed_point(make_spec, sigma, step, monkeypatch):
     # at a fixed point, the solver's change of sigma and rescaled shadow
     # keep y: the DR steps after the change leave the answer in place (the
@@ -430,6 +430,23 @@ def test_step_change_keeps_fixed_point(make_spec, sigma, step, monkeypatch):
     assert changed.iters == log.iters + 2 and changed.sigma == step
     assert np.max(np.abs(state.m.values - fixed.m.values)) <= 1e-9
     assert np.max(np.abs(state.w.values - fixed.w.values)) <= 1e-9
+
+
+@pytest.mark.parametrize("make_spec", [make_congestion_spec, make_gibbs_spec],
+                         ids=["congestion-16", "gibbs-16"])
+@pytest.mark.parametrize("sigma", [2.0**6, 2.0**-6])
+def test_one_balance_reaches_balanced_step(make_spec, sigma, monkeypatch):
+    # from a start 64 times too large or too small, the first balance sets
+    # the step within a factor 2 of the one the default-start solve ends at
+    # (1/2 and 1); one power of two per balance would leave 32 and 1/32
+    spec = make_spec(16)
+    _, balanced = solve_primal(spec)
+    assert balanced.converged
+    monkeypatch.setattr(primal, "SIGMA", sigma)
+    monkeypatch.setattr(primal, "MAX_ITERS", primal.BALANCE_EVERY)
+    _, log = solve_primal(spec)
+    assert log.iters == primal.BALANCE_EVERY
+    assert 0.5 <= log.sigma / balanced.sigma <= 2.0, (log.sigma, balanced.sigma)
 
 
 def test_stop_does_not_depend_on_sigma(monkeypatch):
@@ -452,8 +469,8 @@ def test_stop_does_not_depend_on_sigma(monkeypatch):
 
 
 def test_gibbs_keeps_unit_step(solves, monkeypatch):
-    # the rest state balances prox output and multiplier within a factor
-    # 2, so the step never moves and the run is the fixed-step one
+    # the rest state balances prox output and multiplier closest to the
+    # unit step, so the step never moves and the run is the fixed-step one
     _, log = solves.primal("gibbs", 16)
     assert log.sigma == 1.0
     _balancing_off(monkeypatch)
@@ -520,6 +537,35 @@ def test_step_change_clears_anderson_history(make_spec, sigma, monkeypatch):
     # the run repeats the fixed-step one up to its last prox output
     for m in outputs[log.iters:]:
         assert np.max(np.abs(m - outputs[log.iters - 1])) <= 1e-8
+
+
+@pytest.mark.parametrize("pushes", [4, 13], ids=["partial", "wrapped"])
+def test_anderson_matches_dense_reference(pushes, rng):
+    # every plain update T moves by one unit vector, so dT is the identity
+    # and the extrapolation's update gamma dT holds gamma itself: with 3
+    # differences (k < depth) and with 12 (the ring wraps twice past depth)
+    depth, n = 5, 16
+    anderson = primal._Anderson(depth, n)
+    F = rng.standard_normal((pushes, n))
+    T = np.vstack([np.zeros(n), np.cumsum(np.eye(n)[:pushes - 1], axis=0)])
+    for f, t in zip(F, T):
+        anderson.push(f, t)
+    k = min(pushes - 1, depth)
+    s, tmp = T[-1].copy(), np.empty(n)
+    assert anderson.extrapolate(s, tmp)
+    gamma = tmp[pushes - 1 - k:pushes - 1]
+    # the regularized normal equations over the last k differences of F
+    dF = np.diff(F, axis=0)[-k:]
+    gram = dF @ dF.T
+    ref = np.linalg.solve(gram + 1e-10 * np.trace(gram) / k * np.eye(k), dF @ F[-1])
+    assert np.linalg.norm(gamma - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.count_nonzero(tmp) == k
+    assert np.array_equal(s, T[-1] - tmp)
+    # a NaN increment clears the history and leaves s
+    anderson.push(np.full(n, np.nan), T[-1])
+    before = s.copy()
+    assert not anderson.extrapolate(s, tmp)
+    assert np.array_equal(s, before) and anderson.stored == 0
 
 
 def test_small_eps_torus_converges():
