@@ -1,10 +1,10 @@
 """Command-line orchestration: solve, verify, sweep.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 solver
-non-convergence, 3 estimate-check failure or a non-finite value in a JSON
-output (written as null).  Outputs (fields.csv, log.json, report.json,
-eps_error.csv) are deterministic: fixed summation order,
-17-significant-digit decimal floats, no timestamps — reruns are
+Exit codes: 0 success, 1 configuration or usage error or outputs that
+cannot be written, 2 solver non-convergence, 3 estimate-check failure or a
+non-finite value in a JSON output (written as null).  Outputs (fields.csv,
+log.json, report.json, eps_error.csv) are deterministic: fixed summation
+order, 17-significant-digit decimal floats, no timestamps — reruns are
 byte-identical.
 """
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import estimates
 from .config import KNOWN_CHECKS, ConfigError, RunConfig, load_config
 from .dual import solve_dual
-from .grids import validate_problem
+from .grids import ValidationReport, validate_problem
 from .hamiltonian import SolveError
 from .primal import solve_primal
 
@@ -139,11 +139,17 @@ def run(config_path: str, verb: str = "solve", method: str | None = None,
         return EXIT_OK
 
     outdir = Path(out or cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        if verb == "sweep":
+            return _run_sweep(cfg, outdir)
+        return _run_solve(cfg, outdir, report)
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
-    if verb == "sweep":
-        return _run_sweep(cfg, outdir)
 
+def _run_solve(cfg: RunConfig, outdir: Path, report: ValidationReport) -> int:
     primal_state = primal_log = None
     u = m_dual = dual_log = None
     log_payload: dict = {}

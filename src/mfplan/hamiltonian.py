@@ -195,8 +195,8 @@ def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0,
     with s = scale/2, because H_p(p) >= s q 2^{min(q-2,0)} |p|^{q-1} for
     |p| >= varpi.  Closed form for q = 2, whose H_pp is h_eval's scalar
     H.scale; safeguarded Newton from that edge otherwise, on a Scratch of
-    its own inside work.  The arrays returned are work's (a new Scratch if
-    None).
+    its own inside work, whose last evaluation gives H, H_p and H_pp.  The
+    arrays returned are work's (a new Scratch if None).
     """
     rhs, m = np.asarray(rhs, dtype=float), np.asarray(m, dtype=float)
     work = Scratch(np.broadcast_shapes(rhs.shape, m.shape)) if work is None else work
@@ -230,8 +230,10 @@ def invert_hp(H: HamiltonianSpec, rhs, m=1.0, sigma: float = 0.0,
             np.add(np.multiply(m, hpp, out=gp), sigma, out=gp)
         return g, gp
 
+    # the Newton returns after its last fun call, which leaves H, H_p and
+    # H_pp at p (a converged cell no longer moves): no evaluation here
     safeguarded_newton(fun, edge, lo, hi, tol, work.sub("newton"))
-    return (p, *h_eval(H, p, work))
+    return p, work("H"), work("H_p"), work("H_pp")
 
 
 def legendre_L(H: HamiltonianSpec, v):
@@ -379,19 +381,3 @@ class CouplingSpec:
             return np.where(np.isfinite(g), g, np.inf), a * fm + eps
 
         return safeguarded_newton(fun, y0, lo, hi, 1e-12 * np.maximum(1.0, np.abs(r)))
-
-
-
-__all__ = [
-    "HamiltonianSpec",
-    "CouplingSpec",
-    "KernelSolveError",
-    "SolveError",
-    "Scratch",
-    "h_eval",
-    "h_third",
-    "safeguarded_newton",
-    "invert_hp",
-    "legendre_L",
-    "kinetic_density",
-]

@@ -30,19 +30,20 @@ regularized least-squares fit of f by dF.  A change of sigma changes the
 map T, so it clears the history; so does a gamma that is not finite, and
 the plain step stands.  The stop and the output do not involve s.
 
-The cell prox starts cold at the first iteration; every prox after the
-first, the first after a change of sigma included, starts at
-functional.prox_predict: the last output moved to first order by the
-change of the prox inputs since the last call, from the derivatives at the
-prox's last Newton evaluation.  So an Anderson jump of the shadow costs
-the prox few extra Newton evaluations.
+The cell prox starts cold (at its input mbar) at the first iteration;
+every prox after the first, the first after a change of sigma included,
+starts at functional.prox_predict: the last output moved to first order by
+the change of the prox inputs since the last call, which the prox keeps in
+its Scratch, from the derivatives at the prox's last Newton evaluation.
+So an Anderson jump of the shadow costs the prox few extra Newton
+evaluations.
 
 An iteration allocates no cell-sized array but the two LU solve outputs of
 the graph projection.  It writes into arrays that one solve_primal call
 makes and frees when it returns: the four iterates (the projections work
 in the cell views of p and z before those are written), the prox's
-Scratch (the prox writes its m and w into the cell views of y), the last
-prox inputs and the next start, and Anderson's 2 ANDERSON_DEPTH + 2
+Scratch (the prox writes its m and w into the cell views of y, and keeps
+its last inputs there), the next start, and Anderson's 2 ANDERSON_DEPTH + 2
 vectors of all the unknowns.  None is kept across calls; the cached
 per-grid operators hold only their factors and two padded arrays.
 """
@@ -80,8 +81,8 @@ class PrimalConfig:
     tol_kkt: float = 1e-6
 
     def __post_init__(self):
-        if self.tol_kkt <= 0:
-            raise ValueError("tol_kkt must be positive")
+        if not 0.0 < self.tol_kkt < np.inf:  # NaN fails it too
+            raise ValueError("tol_kkt must be positive and finite")
 
 
 @dataclass
@@ -301,18 +302,13 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     # prox_work's arrays, made at its first call
     prox_work = Scratch(ops.shapes[2], m=y_[2], w=y_[3])
     V = np.broadcast_to(spec.V, ops.shapes[2]).copy()  # adds without a buffer
-    # the last prox inputs, then their increments, and the next prox's start
-    mbar, wbar, start = np.empty((3, *ops.shapes[2]))
+    start = np.empty(ops.shapes[2])  # the next prox's start
     anderson = _Anderson(ANDERSON_DEPTH, s.size)
     for it in range(1, MAX_ITERS + 1):
         ops.project(*s_[:2], d, out=y_[:2], scratch=p_[2:])
         if it > 1:  # the first prox starts cold, every other at the prediction
-            np.subtract(s_[2], mbar, out=mbar)
-            np.subtract(s_[3], wbar, out=wbar)
-            prox_predict(mbar, wbar, sigma, spec.hamiltonian, spec.coupling,
+            prox_predict(s_[2], s_[3], sigma, spec.hamiltonian, spec.coupling,
                          prox_work, out=start)
-        np.copyto(mbar, s_[2])
-        np.copyto(wbar, s_[3])
         # the uniform dt*dx weight does not move the minimizer, so the
         # iteration minimizes the unweighted cell sum (better-scaled prox)
         # (no copy: the outputs are already y's views)
@@ -360,7 +356,7 @@ def solve_primal(spec: ProblemSpec, cfg: PrimalConfig | None = None):
     log.sigma = sigma
     # free the prox's and Anderson's buffers before the returned fields are
     # made, so that those reuse the memory instead of pinning it below them
-    del prox_work, V, mbar, wbar, start, anderson
+    del prox_work, V, start, anderson
 
     m = np.concatenate([spec.m0[None], y_[0], spec.m1[None]])
     w = np.zeros((g.n_t, g.n_faces))

@@ -1,6 +1,13 @@
 """Shared instance builders and cached solves for the test suite."""
 from __future__ import annotations
 
+import os
+
+# one BLAS thread, as bench/run.py runs the solvers, set before numpy loads
+# its BLAS; the dense-algebra tests pay several times over without it
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

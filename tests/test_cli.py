@@ -265,6 +265,26 @@ def test_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_unwritable_out_exits_1(gibbs_cfg, tmp_path, capsys):
+    # mkdir refuses a path under a file and a path that is a file; a write
+    # refuses an output name that a directory holds
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    taken = tmp_path / "taken"
+    for name in ("fields.csv", "eps_error.csv"):
+        (taken / name).mkdir(parents=True)
+    sweep = tmp_path / "sweep.yaml"
+    sweep.write_text(SWEEP_YAML)
+    for verb, config, out in (("solve", gibbs_cfg, blocker / "x"),
+                              ("solve", gibbs_cfg, blocker),
+                              ("solve", gibbs_cfg, taken),
+                              ("sweep", sweep, taken)):
+        argv = [verb, "--config", str(config), "--out", str(out)]
+        assert main(argv + (["--method", "dual"] if verb == "solve" else [])) \
+            == EXIT_CONFIG
+        assert "error: cannot write outputs: " in capsys.readouterr().err
+
+
 def test_non_convergence_exit(gibbs_cfg, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("mfplan.primal.MAX_ITERS", 5)
     p = tmp_path / "tight.yaml"

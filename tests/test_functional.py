@@ -354,13 +354,32 @@ def test_prox_warm_start_matches_cold(coupling, rng):
             assert w[k] == pytest.approx(m[k] * hp, abs=1e-10), H
 
 
+@pytest.mark.parametrize("H", [QUAD_H, HamiltonianSpec(q=2.5, varpi=0.5, scale=2.0)],
+                         ids=["q2", "q2.5"])
+@pytest.mark.parametrize("coupling", [
+    CouplingSpec(epsilon=0.0, c=0.5, a=2.0),
+    CouplingSpec(epsilon=0.3),
+    CouplingSpec(epsilon=0.0),
+], ids=["m-branch", "log-branch", "m-branch-f0"])
+def test_prox_cold_start_is_start_at_mbar(H, coupling, rng):
+    # one start rule: without m_start the prox starts at mbar, corner and
+    # negative cells included
+    n = 200
+    mbar = rng.uniform(-0.5, 3.0, n)
+    wbar, V = rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n)
+    m_cold, w_cold = prox_block(mbar, wbar, 0.7, V, H, coupling, None)
+    m, w = prox_block(mbar, wbar, 0.7, V, H, coupling, mbar)
+    assert np.array_equal(m, m_cold) and np.array_equal(w, w_cold)
+
+
 def test_prox_subnormal_minimizer_converges(monkeypatch):
     # this cell's minimizer, m = exp(-733.3), is subnormal, where eps/m
     # overflows: the entropy's terms are taken in y = log m, eps y and eps
     mbar, wbar, sigma, eps = -0.12262099095771481, 1.0115954988154898, 8.0, 1e-5
     evals = _count_grad_evals(monkeypatch)
     m, w = prox_cell(mbar, wbar, sigma, 0.0, QUAD_H, CouplingSpec(epsilon=eps))
-    assert len(evals) == 3
+    # the cold start mbar < 0 goes to the floor 1e-300, y = -690.8
+    assert len(evals) == 2
     assert 0.0 < m < 1e-300 and w == pytest.approx(m * (wbar - w) / sigma, rel=1e-4)
     # the gradient eps log m + (m - mbar)/sigma - H(p) vanishes; log m of a
     # subnormal m has about five digits
@@ -387,12 +406,13 @@ def test_prox_predict_is_first_order(H, coupling, rng):
     mbar, wbar, V = rng.uniform(0.5, 3.0, n), rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 0.5, n)
     dmbar, dwbar = rng.standard_normal((2, n))
     work = Scratch(mbar.shape)
-    prox_block(mbar, wbar, sigma, V, H, coupling, None, work)
     errors = []
     for delta in (1e-2, 5e-3):
-        want, _ = prox_block(mbar + delta * dmbar, wbar + delta * dwbar, sigma, V, H, coupling)
-        got = prox_predict(delta * dmbar, delta * dwbar, sigma, H, coupling, work,
-                           np.empty(n))
+        # the prediction moves the output of the last prox_block on work
+        prox_block(mbar, wbar, sigma, V, H, coupling, None, work)
+        moved = mbar + delta * dmbar, wbar + delta * dwbar
+        want, _ = prox_block(*moved, sigma, V, H, coupling)
+        got = prox_predict(*moved, sigma, H, coupling, work, np.empty(n))
         errors.append(np.max(np.abs(got - want)))
     assert 3.5 <= errors[0] / errors[1] <= 4.5, errors
 

@@ -52,8 +52,10 @@ def _uniform_spec(n_t=4, n_x=8, topology="interval-neumann", eps=0.5):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PrimalConfig(tol_kkt=0.0)
+    # NaN would run to MAX_ITERS and inf would stop at the first iteration
+    for bad in (0.0, -1e-6, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol_kkt"):
+            PrimalConfig(tol_kkt=bad)
     assert primal.SIGMA == 1.0
     assert 1.0 <= primal.THETA < 2.0
     assert PrimalConfig().tol_kkt == 1e-6
